@@ -1,9 +1,8 @@
 """Costing-performance benchmark: the repo's benchmark trajectory.
 
-``run_perf`` measures what the atomic cost decomposition and the
-parallel matrix builds actually buy on the paper's Table 1 workload
-mixes (W1-W3 over the Section 6.1 table), against a space large
-enough that parallelism has real work to eat: every mix workload is
+``run_perf`` measures what the atomic cost decomposition buys on the
+paper's Table 1 workload mixes (W1-W3 over the Section 6.1 table),
+against a space large enough to matter: every mix workload is
 enriched with a deterministic set of template-diverse statements
 (range scans at several widths per column, ordered scans, two-column
 probes — dozens of distinct templates), and the candidate space holds
@@ -12,7 +11,7 @@ two-column composites uncompressed and HEAVY, projection views
 uncompressed and LIGHT), all configurations of at most two structures
 (991 configurations).
 
-Three legs build the EXEC matrices for every mix (plus a TRANS
+Two legs build the EXEC matrices for every mix (plus a TRANS
 identity sample) through one :class:`~repro.core.costservice.
 CostService` session each:
 
@@ -20,35 +19,13 @@ CostService` session each:
   baseline, one what-if estimate per (template, configuration).
 * ``decomposed`` — the default service: one estimate per (template,
   relevance signature).
-* ``parallel`` — decomposition plus ``n_workers`` process-pool
-  fan-out. The leg is split into **cold start** (one-time pool
-  spin-up and replica construction, measured by
-  ``CostService.warm_pool``) and **steady state** (the matrix builds
-  against the warm pool) so the one-time cost no longer pollutes the
-  speedup a long-lived service actually sees.
-
-A fourth, *skewed-batch* leg (:func:`run_skew_leg`) pins the
-work-stealing scheduler's win where it matters: one wide template
-whose ~190 pending signatures are unsplittable under static
-one-chunk-per-worker scheduling, plus a long tail of one-item
-templates on a side table no candidate serves. It runs the same
-batches through ``scheduler="static"`` and ``scheduler="steal"``
-services and records per-worker busy-time imbalance and the
-tail/median chunk-duration ratio (the straggler metrics the parallel
-leg also reports).
 
 The report records wall time per phase, what-if calls,
-signature/template cache hit rates, the call-reduction ratio, and
-``parallel_speedup`` — the decomposed leg's steady wall over the
-parallel leg's steady wall. It *verifies* along the way that all
-legs produce bit-identical matrices, and — when the host has enough
-cores for the fan-out to physically win (``available_cpus >=
-workers`` with ``workers >= 4``) — enforces the ``speedup_floor``
-(default 1.5x), the skew leg's :data:`SKEW_IMBALANCE_CEILING`, and
-steal-beats-static as failures that flip the CLI exit code. Hosts
-with fewer cores record the ratios without enforcing them (a process
-pool cannot beat serial on one core); ``params.speedup_enforced``
-says which case a given BENCH_PERF.json was.
+signature/template cache hit rates and the call-reduction ratio, plus
+a :func:`~repro.bench.reporting.provenance` block (commit, Python and
+numpy versions, CPUs, date). It *verifies* along the way that both
+legs produce bit-identical matrices and that decomposition saves
+what-if calls; either failure flips the CLI exit code.
 
 ``repro perf`` drives this and writes ``BENCH_PERF.json``;
 ``benchmarks/bench_perf.py`` wraps the same entry points under
@@ -58,15 +35,13 @@ pytest-benchmark.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.costservice import (CostService,
-                                summarize_parallel_metrics)
+from ..core.costservice import CostService
 from ..core.problem import ProblemInstance, enumerate_configurations
 from ..core.structures import Compression, EMPTY_CONFIGURATION
 from ..sqlengine.database import Database
@@ -75,32 +50,20 @@ from ..sqlengine.views import ViewDef
 from ..workload.mixes import (PAPER_VALUE_RANGE, make_paper_workload,
                               paper_generator)
 from ..workload.model import Statement, Workload
-from ..workload.segmentation import Segment, segment_by_count
+from ..workload.segmentation import segment_by_count
+from .reporting import provenance
 
 #: Mixes measured (the Table 1 workloads).
 PERF_MIXES = ("W1", "W2", "W3")
 
 #: TRANS identity is cross-checked over this many configurations
-#: (the full space would be |C|^2 transition estimates per leg —
-#: wall time without information, since TRANS never goes parallel).
+#: (the full space would be |C|^2 transition estimates per leg, and
+#: TRANS takes the same path with or without decomposition).
 TRANS_CHECK_CONFIGS = 48
 
 #: Range widths (per column) of the enrichment statements; each
 #: width induces a distinct selectivity, hence a distinct template.
 _PERF_SPANS = (2_000, 6_000, 18_000, 54_000, 160_000, 480_000)
-
-#: Ceiling the skewed-batch leg's work-stealing busy-time imbalance
-#: must stay under on hosts where enforcement is on (``workers >= 4``
-#: granted at least that many CPUs — the PR 7 convention). The static
-#: scheduler lands near ``workers`` on the same batch; grain-sized
-#: micro-batches keep the pool level.
-SKEW_IMBALANCE_CEILING = 1.6
-
-#: Narrow single-pending-item templates per skewed batch (each rides
-#: on table ``u``, which no candidate structure serves, so its
-#: relevance signature is empty and the whole configuration axis
-#: shares one estimate).
-_SKEW_NARROW_TEMPLATES = 48
 
 
 def perf_candidate_structures(table: str = "t") -> List:
@@ -158,18 +121,14 @@ def perf_template_statements(table: str = "t") -> List[Statement]:
 class PerfLeg:
     """One measured matrix-build session (all mixes, one service).
 
-    ``cold_start_seconds`` is one-time pool spin-up (zero for serial
-    legs); ``steady_wall_seconds`` is the EXEC matrix builds against
-    warm infrastructure — the number ``parallel_speedup`` compares.
-    ``wall_seconds`` stays the whole-leg total (cold + exec + trans).
+    ``wall_seconds`` is the whole leg (EXEC builds plus the TRANS
+    sample).
     """
 
     name: str
     wall_seconds: float
     exec_wall_seconds: float
     trans_wall_seconds: float
-    cold_start_seconds: float
-    steady_wall_seconds: float
     whatif_calls: int
     whatif_calls_avoided: int
     template_hits: int
@@ -177,17 +136,6 @@ class PerfLeg:
     signature_fills: int
     unique_templates: int
     unique_signatures: int
-    parallel_batches: int
-    serial_cutover_batches: int
-    #: Straggler profile (parallel legs only; ``None``/0 on serial
-    #: legs): chunks submitted, workers that ran at least one chunk,
-    #: max/mean per-worker busy-time ratio, and slowest/median chunk
-    #: duration ratio — aggregated over the leg's parallel batches by
-    #: :func:`~repro.core.costservice.summarize_parallel_metrics`.
-    micro_batches: int = 0
-    workers_observed: int = 0
-    busy_imbalance: Optional[float] = None
-    tail_median_chunk_ratio: Optional[float] = None
 
     def as_dict(self) -> Dict[str, object]:
         return dict(vars(self))
@@ -197,22 +145,16 @@ class PerfLeg:
 class PerfReport:
     """Everything ``BENCH_PERF.json`` carries.
 
-    ``failures`` is non-empty iff a leg changed a matrix entry,
-    decomposition saved zero what-if calls, or the steady-state
-    parallel speedup missed the floor while enforcement was on — the
-    conditions CI gates on.
+    ``failures`` is non-empty iff a leg changed a matrix entry or
+    decomposition saved zero what-if calls — the conditions CI gates
+    on.
     """
 
     params: Dict[str, object]
     legs: Dict[str, PerfLeg]
     call_reduction: float
-    parallel_speedup: float
     exec_cells: int
-    #: Skewed-batch leg results (``None`` when the parallel leg is
-    #: skipped): per-scheduler wall/straggler numbers plus the
-    #: steal-over-static speedup the work-stealing scheduler is
-    #: gated on where enforcement applies.
-    skew: Optional[Dict[str, object]] = None
+    provenance: Dict[str, object]
     failures: List[str] = field(default_factory=list)
 
     @property
@@ -223,12 +165,11 @@ class PerfReport:
         return {
             "label": "costing-perf",
             "params": self.params,
+            "provenance": self.provenance,
             "legs": {name: leg.as_dict()
                      for name, leg in self.legs.items()},
             "exec_cells": self.exec_cells,
             "call_reduction": self.call_reduction,
-            "parallel_speedup": self.parallel_speedup,
-            "skew": self.skew,
             "failures": list(self.failures),
             "ok": self.ok,
         }
@@ -240,68 +181,21 @@ class PerfReport:
         lines = ["costing performance (Table 1 mixes + template "
                  f"enrichment, {self.params['n_configs']} "
                  f"configurations, {self.params['nrows']} rows)"]
-        for name in ("undecomposed", "decomposed", "parallel"):
-            leg = self.legs.get(name)
-            if leg is None:
-                continue
+        for name, leg in self.legs.items():
             lines.append(
-                f"  {name:<12} steady {leg.steady_wall_seconds * 1e3:9.1f} ms"
-                f"  cold {leg.cold_start_seconds * 1e3:7.1f} ms"
+                f"  {name:<12} exec {leg.exec_wall_seconds * 1e3:9.1f} ms"
                 f"  what-if calls {leg.whatif_calls:5d}"
                 f"  avoided {leg.whatif_calls_avoided:7d}"
                 f"  signatures {leg.unique_signatures:4d}")
         lines.append(
             f"  call reduction (undecomposed/decomposed): "
             f"{self.call_reduction:.2f}x")
-        if "parallel" in self.legs:
-            enforced = "enforced" if self.params.get(
-                "speedup_enforced") else (
-                "recorded only; "
-                f"{self.params.get('available_cpus')} cpu(s) for "
-                f"{self.params.get('workers')} workers")
-            lines.append(
-                f"  parallel speedup (steady serial / steady "
-                f"parallel): {self.parallel_speedup:.2f}x "
-                f"(floor {self.params.get('speedup_floor')}x, "
-                f"{enforced})")
-            leg = self.legs["parallel"]
-            if leg.busy_imbalance is not None:
-                lines.append(
-                    f"  parallel stragglers: {leg.micro_batches} "
-                    f"micro-batches over {leg.workers_observed} "
-                    f"worker(s), busy imbalance "
-                    f"{leg.busy_imbalance:.2f}, tail/median chunk "
-                    f"{leg.tail_median_chunk_ratio:.2f}")
-        if self.skew is not None:
-            for scheduler in ("static", "steal"):
-                side = self.skew[scheduler]
-                lines.append(
-                    f"  skew[{scheduler:<6}] steady "
-                    f"{side['steady_wall_seconds'] * 1e3:9.1f} ms  "
-                    f"micro-batches {side['micro_batches']:4d}  "
-                    f"imbalance {side['busy_imbalance']:.2f}  "
-                    f"tail/median {side['tail_median_chunk_ratio']:.2f}")
-            lines.append(
-                f"  skew steal-over-static speedup: "
-                f"{self.skew['steal_over_static']:.2f}x "
-                f"(imbalance ceiling "
-                f"{self.skew['imbalance_ceiling']}, "
-                + ("enforced)" if self.skew["enforced"]
-                   else "recorded only)"))
         if self.failures:
             lines.append("  FAILURES:")
             lines.extend(f"    - {failure}" for failure in self.failures)
         else:
             lines.append("  all legs bit-identical")
         return "\n".join(lines)
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def build_perf_database(nrows: int, seed: int) -> Database:
@@ -314,49 +208,6 @@ def build_perf_database(nrows: int, seed: int) -> Database:
     db.bulk_load("t", {column: rng.integers(lo, hi, nrows)
                        for column in ("a", "b", "c", "d")})
     return db
-
-
-def build_skew_database(nrows: int, seed: int) -> Database:
-    """The perf table plus a side table ``u`` that no candidate
-    structure serves — its statements decompose to exactly one
-    pending item each (empty relevance signature), forming the cheap
-    long tail of the skewed batch."""
-    db = build_perf_database(nrows, seed)
-    rng = np.random.default_rng(seed + 101)
-    lo, hi = PAPER_VALUE_RANGE
-    db.create_table("u", [("x", "INTEGER"), ("y", "INTEGER")])
-    db.bulk_load("u", {column: rng.integers(lo, hi,
-                                            max(1_000, nrows // 10))
-                       for column in ("x", "y")})
-    return db
-
-
-def build_skew_batch(rep: int, reps: int,
-                     n_narrow: int = _SKEW_NARROW_TEMPLATES
-                     ) -> Tuple:
-    """One deterministically skewed batch: a single *wide* template
-    on ``t`` (``SELECT b FROM t WHERE b < X`` — every candidate
-    containing ``b`` can serve it, so it decomposes into one pending
-    item per relevant subset, ~190 under the 991-configuration
-    space) plus ``n_narrow`` one-item templates on ``u``. Under the
-    static scheduler the wide row is unsplittable — one worker drags
-    the whole batch — while grain-sized micro-batches spread it
-    across the pool. Distinct ``rep`` values shift every constant to
-    fresh selectivities, so each repetition re-runs the full pending
-    workload against warm infrastructure."""
-    lo, hi = PAPER_VALUE_RANGE
-    span = hi - lo
-    wide_bound = lo + int(span * (0.30 + 0.40 * (rep + 1)
-                                  / (reps + 1)))
-    statements = [Statement(
-        f"SELECT b FROM t WHERE b < {wide_bound}")]
-    total = reps * n_narrow
-    for i in range(n_narrow):
-        position = (rep * n_narrow + i + 1) / (total + 1)
-        bound = lo + int(span * (0.05 + 0.90 * position))
-        statements.append(Statement(
-            f"SELECT x FROM u WHERE x < {bound}"))
-    return (Segment(tuple(statements), rep),)
 
 
 def build_perf_problems(db: Database, block_size: int, seed: int
@@ -382,192 +233,59 @@ def build_perf_problems(db: Database, block_size: int, seed: int
 
 def _run_leg(name: str, db: Database,
              problems: Dict[str, ProblemInstance],
-             trans_configs: Sequence,
-             decompose: bool, n_workers: Optional[int],
-             candidates: Sequence = (),
-             scheduler: str = "steal",
-             steal_grain: Optional[int] = None
+             trans_configs: Sequence, decompose: bool
              ) -> Tuple[PerfLeg, Dict[str, np.ndarray], np.ndarray]:
-    service = CostService(db.what_if(), decompose=decompose,
-                          n_workers=n_workers, scheduler=scheduler,
-                          steal_grain=steal_grain)
-    cold = 0.0
-    if n_workers and n_workers > 1:
-        # Pool spin-up (worker spawn + replica build + registry
-        # ship) is one-time; measure it apart from steady state.
-        cold = service.warm_pool(structures=candidates)
+    service = CostService(db.what_if(), decompose=decompose)
     exec_matrices: Dict[str, np.ndarray] = {}
-    batch_metrics = []
     start = time.perf_counter()
     for mix, problem in problems.items():
-        service.last_parallel_metrics = None
         exec_matrices[mix] = service.exec_matrix(
             problem.segments, problem.configurations)
-        batch_metrics.append(service.last_parallel_metrics)
     exec_wall = time.perf_counter() - start
     start = time.perf_counter()
     trans_matrix = service.trans_matrix(trans_configs)
     trans_wall = time.perf_counter() - start
     stats = service.stats
-    stragglers = summarize_parallel_metrics(batch_metrics)
     leg = PerfLeg(
         name=name,
-        wall_seconds=cold + exec_wall + trans_wall,
+        wall_seconds=exec_wall + trans_wall,
         exec_wall_seconds=exec_wall,
         trans_wall_seconds=trans_wall,
-        cold_start_seconds=cold,
-        steady_wall_seconds=exec_wall,
         whatif_calls=stats.whatif_calls,
         whatif_calls_avoided=stats.whatif_calls_avoided,
         template_hits=stats.template_hits,
         signature_hits=stats.signature_hits,
         signature_fills=stats.signature_fills,
         unique_templates=stats.unique_templates,
-        unique_signatures=stats.unique_signatures,
-        parallel_batches=stats.parallel_batches,
-        serial_cutover_batches=stats.serial_cutover_batches,
-        micro_batches=stats.micro_batches,
-        workers_observed=stragglers["workers_observed"],
-        busy_imbalance=stragglers["busy_imbalance"],
-        tail_median_chunk_ratio=stragglers["tail_median_chunk_ratio"])
-    service.close()
+        unique_signatures=stats.unique_signatures)
     return leg, exec_matrices, trans_matrix
 
 
-def run_skew_leg(nrows: int, seed: int, workers: int,
-                 steal_grain: Optional[int], enforced: bool,
-                 reps: int = 2) -> Tuple[Dict[str, object],
-                                         List[str]]:
-    """Measure the skewed-batch leg: the same deterministic skewed
-    batches through a static-chunk service and a work-stealing
-    service (both against warm pools, both forced parallel), with a
-    serial service as the bit-identity reference.
-
-    Returns the ``skew`` report section and any failures. Failures
-    outside bit-identity are raised only when ``enforced`` (the PR 7
-    convention — ``workers >= 4`` with at least that many CPUs):
-    the stealing scheduler's busy imbalance must stay under
-    :data:`SKEW_IMBALANCE_CEILING` and its steady wall must beat the
-    static baseline.
-    """
-    db = build_skew_database(nrows, seed)
-    configurations = tuple(enumerate_configurations(
-        perf_candidate_structures(), max_indexes=2))
-    candidates = perf_candidate_structures()
-    batches = [build_skew_batch(rep, reps) for rep in range(reps)]
-
-    serial = CostService(db.what_if())
-    reference = [serial.exec_matrix(segments, configurations)
-                 for segments in batches]
-    serial.close()
-
-    failures: List[str] = []
-    sides: Dict[str, Dict[str, object]] = {}
-    for scheduler in ("static", "steal"):
-        service = CostService(db.what_if(), n_workers=workers,
-                              parallel_threshold=2,
-                              scheduler=scheduler,
-                              steal_grain=steal_grain)
-        try:
-            cold = service.warm_pool(structures=candidates)
-            walls: List[float] = []
-            batch_metrics = []
-            for segments, ref in zip(batches, reference):
-                service.last_parallel_metrics = None
-                start = time.perf_counter()
-                matrix = service.exec_matrix(segments,
-                                             configurations)
-                walls.append(time.perf_counter() - start)
-                batch_metrics.append(service.last_parallel_metrics)
-                if not np.array_equal(matrix, ref):
-                    failures.append(
-                        f"skew[{scheduler}]: EXEC matrix differs "
-                        f"from serial")
-            if service.stats.parallel_batches < reps:
-                failures.append(
-                    f"skew[{scheduler}]: a batch cut over to "
-                    f"serial")
-            stragglers = summarize_parallel_metrics(batch_metrics)
-            sides[scheduler] = {
-                "cold_start_seconds": cold,
-                "steady_wall_seconds": sum(walls),
-                "whatif_calls": service.stats.whatif_calls,
-                "micro_batches": stragglers["micro_batches"],
-                "workers_observed": stragglers["workers_observed"],
-                "busy_imbalance": stragglers["busy_imbalance"],
-                "tail_median_chunk_ratio":
-                    stragglers["tail_median_chunk_ratio"],
-            }
-        finally:
-            service.close()
-
-    steal_wall = sides["steal"]["steady_wall_seconds"]
-    static_wall = sides["static"]["steady_wall_seconds"]
-    steal_over_static = (static_wall / steal_wall
-                         if steal_wall > 0 else 0.0)
-    if enforced:
-        imbalance = sides["steal"]["busy_imbalance"]
-        if imbalance is not None and \
-                imbalance > SKEW_IMBALANCE_CEILING:
-            failures.append(
-                f"skew[steal]: busy imbalance {imbalance:.2f} above "
-                f"the {SKEW_IMBALANCE_CEILING} ceiling")
-        if steal_over_static < 1.0:
-            failures.append(
-                f"skew: work stealing slower than static chunking "
-                f"({steal_over_static:.2f}x)")
-    skew = {
-        "reps": reps,
-        "n_narrow_templates": _SKEW_NARROW_TEMPLATES,
-        "imbalance_ceiling": SKEW_IMBALANCE_CEILING,
-        "enforced": enforced,
-        "static": sides["static"],
-        "steal": sides["steal"],
-        "steal_over_static": steal_over_static,
-    }
-    return skew, failures
-
-
 def run_perf(nrows: int = 100_000, block_size: int = 100,
-             seed: int = 0, workers: int = 4,
-             quick: bool = False,
-             speedup_floor: float = 1.5,
-             steal_grain: Optional[int] = None) -> PerfReport:
-    """Measure the three costing legs and cross-check bit-identity.
+             seed: int = 0, quick: bool = False) -> PerfReport:
+    """Measure the two costing legs and cross-check bit-identity.
 
     Args:
         nrows / block_size / seed: scale parameters (same meaning as
             the other benches).
-        workers: process-pool width for the parallel leg; ``0`` skips
-            the leg entirely (and the skewed-batch leg with it).
         quick: CI scale — shrinks the table and blocks (the config
             and template spaces stay at full size; they are what the
-            speedup floor is measured against).
-        speedup_floor: minimum steady-state parallel speedup. The
-            floor is *enforced* (a failure below it) only when
-            ``workers >= 4`` and the host grants at least ``workers``
-            CPUs — fewer cores record the ratio without gating, since
-            fan-out cannot physically win there.
-        steal_grain: explicit micro-batch size for the work-stealing
-            scheduler (``None`` adapts per batch).
+            call reduction is measured against).
     """
     if quick:
         nrows = min(nrows, 10_000)
         block_size = min(block_size, 40)
     db = build_perf_database(nrows, seed)
     problems = build_perf_problems(db, block_size, seed)
-    candidates = perf_candidate_structures()
     some_problem = next(iter(problems.values()))
     trans_configs = some_problem.configurations[:TRANS_CHECK_CONFIGS]
 
     legs: Dict[str, PerfLeg] = {}
     undecomposed, baseline, baseline_trans = _run_leg(
-        "undecomposed", db, problems, trans_configs,
-        decompose=False, n_workers=None)
+        "undecomposed", db, problems, trans_configs, decompose=False)
     legs["undecomposed"] = undecomposed
     decomposed, decomposed_m, decomposed_trans = _run_leg(
-        "decomposed", db, problems, trans_configs,
-        decompose=True, n_workers=None)
+        "decomposed", db, problems, trans_configs, decompose=True)
     legs["decomposed"] = decomposed
 
     failures: List[str] = []
@@ -585,51 +303,6 @@ def run_perf(nrows: int = 100_000, block_size: int = 100,
             f"({decomposed.whatif_calls} vs "
             f"{undecomposed.whatif_calls})")
 
-    cpus = available_cpus()
-    speedup_enforced = bool(workers and workers >= 4
-                            and cpus >= workers)
-    parallel_speedup = 0.0
-    skew: Optional[Dict[str, object]] = None
-    if workers and workers > 1:
-        parallel, parallel_m, parallel_trans = _run_leg(
-            "parallel", db, problems, trans_configs,
-            decompose=True, n_workers=workers,
-            candidates=candidates, steal_grain=steal_grain)
-        legs["parallel"] = parallel
-        for mix in problems:
-            if not np.array_equal(decomposed_m[mix],
-                                  parallel_m[mix]):
-                failures.append(
-                    f"{mix}: parallel EXEC matrix differs from "
-                    f"serial")
-        if not np.array_equal(decomposed_trans, parallel_trans):
-            failures.append(
-                "parallel TRANS matrix differs from serial")
-        if parallel.whatif_calls != decomposed.whatif_calls:
-            failures.append(
-                "parallel leg issued a different call count "
-                f"({parallel.whatif_calls} vs "
-                f"{decomposed.whatif_calls})")
-        if parallel.parallel_batches == 0:
-            failures.append(
-                "parallel leg never fanned out (all batches cut "
-                "over to serial)")
-        if parallel.steady_wall_seconds > 0:
-            parallel_speedup = (decomposed.steady_wall_seconds /
-                                parallel.steady_wall_seconds)
-        if speedup_enforced and parallel_speedup < speedup_floor:
-            failures.append(
-                f"steady-state parallel speedup "
-                f"{parallel_speedup:.2f}x below the "
-                f"{speedup_floor}x floor at {workers} workers "
-                f"({cpus} cpus)")
-        skew, skew_failures = run_skew_leg(
-            nrows, seed, workers, steal_grain,
-            enforced=speedup_enforced)
-        failures.extend(skew_failures)
-    else:
-        speedup_enforced = False
-
     exec_cells = sum(
         len(p.segments) * len(p.configurations)
         for p in problems.values())
@@ -638,18 +311,13 @@ def run_perf(nrows: int = 100_000, block_size: int = 100,
         if decomposed.whatif_calls else float("inf"))
     params = {
         "nrows": nrows, "block_size": block_size, "seed": seed,
-        "workers": workers, "quick": quick,
+        "quick": quick,
         "mixes": list(problems),
         "n_configs": len(some_problem.configurations),
-        "n_candidates": len(candidates),
+        "n_candidates": len(perf_candidate_structures()),
         "n_trans_configs": len(trans_configs),
-        "available_cpus": cpus,
-        "speedup_floor": speedup_floor,
-        "speedup_enforced": speedup_enforced,
-        "steal_grain": steal_grain,
     }
     return PerfReport(params=params, legs=legs,
                       call_reduction=call_reduction,
-                      parallel_speedup=parallel_speedup,
-                      exec_cells=exec_cells, skew=skew,
+                      exec_cells=exec_cells, provenance=provenance(),
                       failures=failures)

@@ -3,11 +3,18 @@
 The paper reports tables (Tables 1-2) and relative-value charts
 (Figures 3-4); these helpers render both as ASCII so the benchmark
 output can be compared against the paper side by side.
+:func:`provenance` records which host and commit produced a
+``BENCH_*.json``, so two points on the trajectory can be compared.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import os
+import platform
+from datetime import datetime, timezone
+from importlib import metadata
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -65,3 +72,61 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
+
+
+def available_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def provenance() -> Dict[str, object]:
+    """The "experiment info" block of a bench report: git commit,
+    Python and numpy versions, usable CPUs and the UTC time of the
+    run. Standard library only; fields that cannot be determined
+    (no checkout, numpy not installed as a distribution) are
+    ``None``."""
+    try:
+        numpy_version: Optional[str] = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    return {
+        "git_sha": git_sha(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "available_cpus": available_cpus(),
+        "date_utc": datetime.now(timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"),
+    }
+
+
+def git_sha(start: Optional[Path] = None) -> Optional[str]:
+    """The commit checked out in the git repository containing
+    ``start`` (default: this source file), read straight from
+    ``.git`` — HEAD, then the loose ref or ``packed-refs`` entry it
+    names. ``None`` outside a checkout."""
+    here = (start or Path(__file__)).resolve()
+    for directory in (here, *here.parents):
+        git_dir = directory / ".git"
+        if git_dir.is_dir():
+            return _resolve_head(git_dir)
+    return None
+
+
+def _resolve_head(git_dir: Path) -> Optional[str]:
+    head = (git_dir / "HEAD").read_text().strip()
+    if not head.startswith("ref:"):
+        return head or None  # detached HEAD holds the SHA itself
+    ref = head[len("ref:"):].strip()
+    loose = git_dir / ref
+    if loose.is_file():
+        return loose.read_text().strip()
+    packed = git_dir / "packed-refs"
+    if packed.is_file():
+        for line in packed.read_text().splitlines():
+            parts = line.split()
+            if len(parts) == 2 and parts[1] == ref:
+                return parts[0]
+    return None

@@ -54,6 +54,7 @@ from ..workload.model import Statement, Workload
 from ..workload.segmentation import segment_by_count
 from ..workload.summary import WorkloadSummary, summarize_statements
 from .experiments import paper_candidate_indexes
+from .reporting import provenance
 
 #: Mix rotation for the tenants (rows of the paper's Table 1).
 SCALE_MIX_LABELS: Tuple[str, ...] = ("A", "B", "C", "D")
@@ -173,6 +174,7 @@ class ScaleReport:
     params: Dict[str, object]
     runs: List[ScaleRun]
     ratios: Dict[str, float]
+    provenance: Dict[str, object]
     failures: List[str] = field(default_factory=list)
 
     @property
@@ -183,6 +185,7 @@ class ScaleReport:
         return {
             "label": "scale-advising",
             "params": self.params,
+            "provenance": self.provenance,
             "runs": [run.as_dict() for run in self.runs],
             "ratios": dict(self.ratios),
             "failures": list(self.failures),
@@ -222,12 +225,11 @@ class ScaleReport:
 
 def _advise(problem, advisor, optimizer) -> Tuple[float, object, int]:
     """Advise through a fresh CostService; return (wall, rec, calls)."""
-    with CostService(optimizer) as service:
-        start = time.perf_counter()
-        recommendation = advisor.recommend(problem, service)
-        wall = time.perf_counter() - start
-        calls = service.stats.whatif_calls
-    return wall, recommendation, calls
+    service = CostService(optimizer)
+    start = time.perf_counter()
+    recommendation = advisor.recommend(problem, service)
+    wall = time.perf_counter() - start
+    return wall, recommendation, service.stats.whatif_calls
 
 
 def run_scale(sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
@@ -322,12 +324,10 @@ def run_scale(sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
             if n == sizes[0]:
                 # Bit-identity spot check at the smallest size: the
                 # two formulations must fill identical matrices.
-                with CostService(db.what_if()) as service:
-                    smallest_matrices["summary"] = build_cost_matrices(
-                        summary_problem, service)
-                with CostService(db.what_if()) as service:
-                    smallest_matrices["legacy"] = build_cost_matrices(
-                        legacy_problem, service)
+                smallest_matrices["summary"] = build_cost_matrices(
+                    summary_problem, CostService(db.what_if()))
+                smallest_matrices["legacy"] = build_cost_matrices(
+                    legacy_problem, CostService(db.what_if()))
 
     if len(smallest_matrices) == 2:
         summary_m = smallest_matrices["summary"]
@@ -398,4 +398,4 @@ def run_scale(sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
         "reference_n": reference_n, "largest_n": largest_n,
     }
     return ScaleReport(params=params, runs=runs, ratios=ratios,
-                       failures=failures)
+                       provenance=provenance(), failures=failures)

@@ -37,14 +37,11 @@ Commands:
   advisors.
 * ``perf`` — the costing-performance benchmark: build the enriched
   Table 1 mixes' EXEC matrices (plus a TRANS identity sample)
-  undecomposed, decomposed (relevance signatures), and in parallel
-  (cold pool start and steady state measured separately); verify all
+  undecomposed and decomposed (relevance signatures); verify both
   legs bit-identical and write ``BENCH_PERF.json`` (wall times per
-  phase, what-if call reduction, cache hit counters, steady-state
-  serial-vs-parallel speedup). Exits non-zero if decomposition
-  changes a matrix entry, saves zero calls, or — on hosts with
-  enough CPUs for >= 4 workers — the steady-state speedup misses
-  the 1.5x floor.
+  phase, what-if call reduction, cache hit counters, provenance).
+  Exits non-zero if decomposition changes a matrix entry or saves
+  zero calls.
 * ``scale`` — the summary-IR scaling benchmark: advise the same
   multi-tenant workload at growing trace lengths (1M+ statements)
   through the compressed workload-summary path and the legacy
@@ -314,25 +311,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf", help="benchmark the costing pipeline: undecomposed "
-                     "vs signature-decomposed vs parallel matrix "
-                     "builds on the Table 1 mixes; verifies "
-                     "bit-identity and writes BENCH_PERF.json")
+                     "vs signature-decomposed matrix builds on the "
+                     "Table 1 mixes; verifies bit-identity and "
+                     "writes BENCH_PERF.json")
     perf.add_argument("--rows", type=int, default=100_000)
     perf.add_argument("--block-size", type=int, default=100)
     perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--workers", type=int, default=4,
-                      help="process-pool width for the parallel leg "
-                           "(0 skips it; default 4)")
-    perf.add_argument("--speedup-floor", type=float, default=1.5,
-                      help="minimum steady-state parallel speedup; "
-                           "enforced when >= 4 workers have >= that "
-                           "many CPUs (default 1.5)")
     perf.add_argument("--quick", action="store_true",
                       help="CI scale: shrink the table and blocks "
                            "(config/template spaces stay full size)")
-    perf.add_argument("--steal-grain", type=int, default=None,
-                      help="items per work-stealing micro-batch "
-                           "(default: adaptive, ~4 chunks/worker)")
     perf.add_argument("--out", default="BENCH_PERF.json",
                       help="report path (default BENCH_PERF.json)")
     perf.set_defaults(handler=_cmd_perf)
@@ -719,10 +706,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_perf(args) -> int:
     from .bench.perf import run_perf
     report = run_perf(nrows=args.rows, block_size=args.block_size,
-                      seed=args.seed, workers=args.workers,
-                      quick=args.quick,
-                      speedup_floor=args.speedup_floor,
-                      steal_grain=args.steal_grain)
+                      seed=args.seed, quick=args.quick)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(report.to_json() + "\n")
     print(report.format())

@@ -52,3 +52,56 @@ class TestFormatSeries:
         assert len(lines) == 4  # header, rule, two rows
         assert "s1" in lines[0] and "s2" in lines[0]
         assert "20" in lines[3] and "40" in lines[3]
+
+
+class TestProvenance:
+    def test_fields(self):
+        from repro.bench.reporting import available_cpus, provenance
+
+        block = provenance()
+        assert set(block) == {"git_sha", "python", "numpy",
+                              "available_cpus", "date_utc"}
+        assert block["available_cpus"] == available_cpus() >= 1
+        assert block["python"].count(".") == 2
+        assert block["date_utc"].endswith("Z")
+
+    def test_git_sha_from_loose_ref(self, tmp_path):
+        from repro.bench.reporting import git_sha
+
+        sha = "0123456789abcdef0123456789abcdef01234567"
+        (tmp_path / ".git" / "refs" / "heads").mkdir(parents=True)
+        (tmp_path / ".git" / "HEAD").write_text(
+            "ref: refs/heads/main\n")
+        (tmp_path / ".git" / "refs" / "heads" / "main").write_text(
+            sha + "\n")
+        nested = tmp_path / "src" / "pkg"
+        nested.mkdir(parents=True)
+        assert git_sha(nested) == sha
+
+    def test_git_sha_from_packed_refs(self, tmp_path):
+        from repro.bench.reporting import git_sha
+
+        sha = "89abcdef0123456789abcdef0123456789abcdef"
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text(
+            "ref: refs/heads/main\n")
+        (tmp_path / ".git" / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{sha} refs/heads/main\n")
+        assert git_sha(tmp_path) == sha
+
+    def test_git_sha_detached_head(self, tmp_path):
+        from repro.bench.reporting import git_sha
+
+        sha = "fedcba9876543210fedcba9876543210fedcba98"
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text(sha + "\n")
+        assert git_sha(tmp_path) == sha
+
+    def test_git_sha_unknown_ref(self, tmp_path):
+        from repro.bench.reporting import git_sha
+
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text(
+            "ref: refs/heads/gone\n")
+        assert git_sha(tmp_path) is None

@@ -77,6 +77,7 @@ class TestRunScale:
         assert decoded["ok"] is True
         assert decoded["params"]["n_phases"] == 4
         assert len(decoded["runs"]) == len(report.runs)
+        assert decoded["provenance"]["available_cpus"] >= 1
 
     def test_format_is_human_readable(self, report):
         text = report.format()
