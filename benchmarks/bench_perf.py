@@ -3,9 +3,10 @@
 Measures EXEC matrix construction over the enriched Table 1 mixes
 (dozens of templates via the range/ordered/two-column enrichment
 statements) against the enlarged candidate space (44 structures, 991
-configurations) in two legs — undecomposed and signature-decomposed —
-and asserts the decomposition contract: bit-identical matrices with a
->= 3x reduction in what-if calls.
+configurations) through the signature-decomposed cost service, and
+asserts the decomposition contract: sampled cells bit-identical to the
+scalar oracles, with a >= 3x reduction in what-if calls against one
+estimate per (template, configuration).
 """
 
 import os
@@ -52,16 +53,6 @@ def _build_all(service, problems):
     return {mix: service.exec_matrix(problem.segments,
                                      problem.configurations)
             for mix, problem in problems.items()}
-
-
-def test_bench_matrices_undecomposed(benchmark, perf_db,
-                                     perf_problems):
-    def build():
-        return _build_all(CostService(perf_db.what_if(),
-                                      decompose=False), perf_problems)
-
-    matrices = benchmark(build)
-    assert set(matrices) == set(perf_problems)
 
 
 def test_bench_matrices_decomposed(benchmark, perf_db, perf_problems):

@@ -11,21 +11,22 @@ two-column composites uncompressed and HEAVY, projection views
 uncompressed and LIGHT), all configurations of at most two structures
 (991 configurations).
 
-Two legs build the EXEC matrices for every mix (plus a TRANS
-identity sample) through one :class:`~repro.core.costservice.
-CostService` session each:
+One leg, ``decomposed``, builds the EXEC matrices for every mix
+(plus a TRANS sample) through one :class:`~repro.core.costservice.
+CostService` session, which issues one what-if estimate per
+(template, relevance signature).
 
-* ``undecomposed`` — ``CostService(decompose=False)``: the PR-1
-  baseline, one what-if estimate per (template, configuration).
-* ``decomposed`` — the default service: one estimate per (template,
-  relevance signature).
-
-The report records wall time per phase, what-if calls,
-signature/template cache hit rates and the call-reduction ratio, plus
-a :func:`~repro.bench.reporting.provenance` block (commit, Python and
-numpy versions, CPUs, date). It *verifies* along the way that both
-legs produce bit-identical matrices and that decomposition saves
-what-if calls; either failure flips the CLI exit code.
+The report records wall time per phase, what-if calls, signature
+cache counters and the call-reduction ratio — ``unique templates x
+configurations`` (what one estimate per (template, configuration)
+would issue) over the calls actually issued — plus a
+:func:`~repro.bench.reporting.provenance` block (commit, Python and
+numpy versions, CPUs, date). It *verifies* along the way that a
+seeded sample of EXEC and TRANS cells is bit-identical to the scalar
+oracles (:meth:`~repro.core.costmatrix.WhatIfCostProvider.exec_cost`
+and :meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
+transition_units`) and that decomposition saves what-if calls;
+either failure flips the CLI exit code.
 
 ``repro perf`` drives this and writes ``BENCH_PERF.json``;
 ``benchmarks/bench_perf.py`` wraps the same entry points under
@@ -41,6 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.costmatrix import WhatIfCostProvider
 from ..core.costservice import CostService
 from ..core.problem import ProblemInstance, enumerate_configurations
 from ..core.structures import Compression, EMPTY_CONFIGURATION
@@ -56,10 +58,13 @@ from .reporting import provenance
 #: Mixes measured (the Table 1 workloads).
 PERF_MIXES = ("W1", "W2", "W3")
 
-#: TRANS identity is cross-checked over this many configurations
-#: (the full space would be |C|^2 transition estimates per leg, and
-#: TRANS takes the same path with or without decomposition).
+#: TRANS is built over this many configurations (the full space
+#: would be |C|^2 transition estimates).
 TRANS_CHECK_CONFIGS = 48
+
+#: Cells per matrix (each mix's EXEC, and the TRANS sample) checked
+#: against the scalar oracles.
+ORACLE_SAMPLE_CELLS = 32
 
 #: Range widths (per column) of the enrichment statements; each
 #: width induces a distinct selectivity, hence a distinct template.
@@ -75,8 +80,7 @@ def perf_candidate_structures(table: str = "t") -> List:
     the same columns, so the space exercises both structure kinds in
     one signature; the compressed variants are *distinct* candidates
     (distinct geometry, distinct signatures), which is exactly the
-    cache-conflation surface the decomposed leg's bit-identity check
-    guards."""
+    cache-conflation surface the oracle bit-identity check guards."""
     columns = ("a", "b", "c", "d")
     singles = [IndexDef(table, (c,), level) for c in columns
                for level in (Compression.NONE, Compression.LIGHT,
@@ -119,7 +123,7 @@ def perf_template_statements(table: str = "t") -> List[Statement]:
 
 @dataclass
 class PerfLeg:
-    """One measured matrix-build session (all mixes, one service).
+    """The measured matrix-build session (all mixes, one service).
 
     ``wall_seconds`` is the whole leg (EXEC builds plus the TRANS
     sample).
@@ -131,7 +135,6 @@ class PerfLeg:
     trans_wall_seconds: float
     whatif_calls: int
     whatif_calls_avoided: int
-    template_hits: int
     signature_hits: int
     signature_fills: int
     unique_templates: int
@@ -145,15 +148,16 @@ class PerfLeg:
 class PerfReport:
     """Everything ``BENCH_PERF.json`` carries.
 
-    ``failures`` is non-empty iff a leg changed a matrix entry or
-    decomposition saved zero what-if calls — the conditions CI gates
-    on.
+    ``failures`` is non-empty iff a sampled matrix entry differs
+    from the scalar oracle or decomposition saved zero what-if calls
+    — the conditions CI gates on.
     """
 
     params: Dict[str, object]
     legs: Dict[str, PerfLeg]
     call_reduction: float
     exec_cells: int
+    oracle_cells: int
     provenance: Dict[str, object]
     failures: List[str] = field(default_factory=list)
 
@@ -169,6 +173,7 @@ class PerfReport:
             "legs": {name: leg.as_dict()
                      for name, leg in self.legs.items()},
             "exec_cells": self.exec_cells,
+            "oracle_cells": self.oracle_cells,
             "call_reduction": self.call_reduction,
             "failures": list(self.failures),
             "ok": self.ok,
@@ -188,13 +193,14 @@ class PerfReport:
                 f"  avoided {leg.whatif_calls_avoided:7d}"
                 f"  signatures {leg.unique_signatures:4d}")
         lines.append(
-            f"  call reduction (undecomposed/decomposed): "
-            f"{self.call_reduction:.2f}x")
+            f"  call reduction (templates x configurations / what-if "
+            f"calls): {self.call_reduction:.2f}x")
         if self.failures:
             lines.append("  FAILURES:")
             lines.extend(f"    - {failure}" for failure in self.failures)
         else:
-            lines.append("  all legs bit-identical")
+            lines.append(f"  {self.oracle_cells} sampled cells "
+                         f"bit-identical to the scalar oracles")
         return "\n".join(lines)
 
 
@@ -231,11 +237,10 @@ def build_perf_problems(db: Database, block_size: int, seed: int
     return problems
 
 
-def _run_leg(name: str, db: Database,
-             problems: Dict[str, ProblemInstance],
-             trans_configs: Sequence, decompose: bool
+def _run_leg(db: Database, problems: Dict[str, ProblemInstance],
+             trans_configs: Sequence
              ) -> Tuple[PerfLeg, Dict[str, np.ndarray], np.ndarray]:
-    service = CostService(db.what_if(), decompose=decompose)
+    service = CostService(db.what_if())
     exec_matrices: Dict[str, np.ndarray] = {}
     start = time.perf_counter()
     for mix, problem in problems.items():
@@ -247,13 +252,12 @@ def _run_leg(name: str, db: Database,
     trans_wall = time.perf_counter() - start
     stats = service.stats
     leg = PerfLeg(
-        name=name,
+        name="decomposed",
         wall_seconds=exec_wall + trans_wall,
         exec_wall_seconds=exec_wall,
         trans_wall_seconds=trans_wall,
         whatif_calls=stats.whatif_calls,
         whatif_calls_avoided=stats.whatif_calls_avoided,
-        template_hits=stats.template_hits,
         signature_hits=stats.signature_hits,
         signature_fills=stats.signature_fills,
         unique_templates=stats.unique_templates,
@@ -261,9 +265,46 @@ def _run_leg(name: str, db: Database,
     return leg, exec_matrices, trans_matrix
 
 
+def _oracle_failures(db: Database,
+                     problems: Dict[str, ProblemInstance],
+                     exec_matrices: Dict[str, np.ndarray],
+                     trans_configs: Sequence, trans_matrix: np.ndarray,
+                     seed: int) -> Tuple[List[str], int]:
+    """Compare a seeded sample of cells with the scalar oracles;
+    returns the mismatches and the number of cells checked."""
+    oracle = WhatIfCostProvider(db.what_if())
+    rng = np.random.default_rng([seed, 13])
+    failures: List[str] = []
+    checked = 0
+    for mix, problem in problems.items():
+        matrix = exec_matrices[mix]
+        n_seg, n_cfg = matrix.shape
+        for i, j in zip(
+                rng.integers(0, n_seg, ORACLE_SAMPLE_CELLS).tolist(),
+                rng.integers(0, n_cfg, ORACLE_SAMPLE_CELLS).tolist()):
+            want = oracle.exec_cost(problem.segments[i],
+                                    problem.configurations[j])
+            checked += 1
+            if matrix[i, j] != want:
+                failures.append(
+                    f"{mix}: EXEC[{i},{j}] {float(matrix[i, j])!r} "
+                    f"differs from the scalar oracle {want!r}")
+    n = len(trans_configs)
+    for i, j in zip(rng.integers(0, n, ORACLE_SAMPLE_CELLS).tolist(),
+                    rng.integers(0, n, ORACLE_SAMPLE_CELLS).tolist()):
+        want = 0.0 if i == j else oracle.optimizer.transition_units(
+            trans_configs[i].structures, trans_configs[j].structures)
+        checked += 1
+        if trans_matrix[i, j] != want:
+            failures.append(
+                f"TRANS[{i},{j}] {float(trans_matrix[i, j])!r} "
+                f"differs from transition_units {want!r}")
+    return failures, checked
+
+
 def run_perf(nrows: int = 100_000, block_size: int = 100,
              seed: int = 0, quick: bool = False) -> PerfReport:
-    """Measure the two costing legs and cross-check bit-identity.
+    """Measure the costing leg and cross-check it with the oracles.
 
     Args:
         nrows / block_size / seed: scale parameters (same meaning as
@@ -278,46 +319,35 @@ def run_perf(nrows: int = 100_000, block_size: int = 100,
     db = build_perf_database(nrows, seed)
     problems = build_perf_problems(db, block_size, seed)
     some_problem = next(iter(problems.values()))
+    n_configs = len(some_problem.configurations)
     trans_configs = some_problem.configurations[:TRANS_CHECK_CONFIGS]
 
-    legs: Dict[str, PerfLeg] = {}
-    undecomposed, baseline, baseline_trans = _run_leg(
-        "undecomposed", db, problems, trans_configs, decompose=False)
-    legs["undecomposed"] = undecomposed
-    decomposed, decomposed_m, decomposed_trans = _run_leg(
-        "decomposed", db, problems, trans_configs, decompose=True)
-    legs["decomposed"] = decomposed
-
-    failures: List[str] = []
-    for mix in problems:
-        if not np.array_equal(baseline[mix], decomposed_m[mix]):
-            failures.append(
-                f"{mix}: decomposed EXEC matrix differs from "
-                f"undecomposed")
-    if not np.array_equal(baseline_trans, decomposed_trans):
-        failures.append(
-            "decomposed TRANS matrix differs from undecomposed")
-    if decomposed.whatif_calls >= undecomposed.whatif_calls:
+    leg, exec_matrices, trans_matrix = _run_leg(db, problems,
+                                                trans_configs)
+    failures, oracle_cells = _oracle_failures(
+        db, problems, exec_matrices, trans_configs, trans_matrix, seed)
+    undecomposed_calls = leg.unique_templates * n_configs
+    if leg.whatif_calls >= undecomposed_calls:
         failures.append(
             "decomposition saved zero what-if calls "
-            f"({decomposed.whatif_calls} vs "
-            f"{undecomposed.whatif_calls})")
+            f"({leg.whatif_calls} vs {undecomposed_calls} = templates "
+            f"x configurations)")
 
     exec_cells = sum(
         len(p.segments) * len(p.configurations)
         for p in problems.values())
     call_reduction = (
-        undecomposed.whatif_calls / decomposed.whatif_calls
-        if decomposed.whatif_calls else float("inf"))
+        undecomposed_calls / leg.whatif_calls
+        if leg.whatif_calls else float("inf"))
     params = {
         "nrows": nrows, "block_size": block_size, "seed": seed,
         "quick": quick,
         "mixes": list(problems),
-        "n_configs": len(some_problem.configurations),
+        "n_configs": n_configs,
         "n_candidates": len(perf_candidate_structures()),
         "n_trans_configs": len(trans_configs),
     }
-    return PerfReport(params=params, legs=legs,
+    return PerfReport(params=params, legs={leg.name: leg},
                       call_reduction=call_reduction,
-                      exec_cells=exec_cells, provenance=provenance(),
-                      failures=failures)
+                      exec_cells=exec_cells, oracle_cells=oracle_cells,
+                      provenance=provenance(), failures=failures)

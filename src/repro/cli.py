@@ -36,12 +36,12 @@ Commands:
   estimation faults degrade gracefully instead of crashing the
   advisors.
 * ``perf`` — the costing-performance benchmark: build the enriched
-  Table 1 mixes' EXEC matrices (plus a TRANS identity sample)
-  undecomposed and decomposed (relevance signatures); verify both
-  legs bit-identical and write ``BENCH_PERF.json`` (wall times per
-  phase, what-if call reduction, cache hit counters, provenance).
-  Exits non-zero if decomposition changes a matrix entry or saves
-  zero calls.
+  Table 1 mixes' EXEC matrices (plus a TRANS sample) through the
+  signature-decomposed cost service; check a seeded cell sample
+  bit-identical to the scalar oracles and write ``BENCH_PERF.json``
+  (wall times per phase, what-if call reduction against templates x
+  configurations, cache hit counters, provenance). Exits non-zero if
+  a sampled matrix entry differs or decomposition saves zero calls.
 * ``scale`` — the summary-IR scaling benchmark: advise the same
   multi-tenant workload at growing trace lengths (1M+ statements)
   through the compressed workload-summary path and the legacy
@@ -310,10 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(handler=_cmd_chaos)
 
     perf = sub.add_parser(
-        "perf", help="benchmark the costing pipeline: undecomposed "
-                     "vs signature-decomposed matrix builds on the "
-                     "Table 1 mixes; verifies bit-identity and "
-                     "writes BENCH_PERF.json")
+        "perf", help="benchmark the costing pipeline: "
+                     "signature-decomposed matrix builds on the "
+                     "Table 1 mixes; checks sampled cells against "
+                     "the scalar oracles and writes BENCH_PERF.json")
     perf.add_argument("--rows", type=int, default=100_000)
     perf.add_argument("--block-size", type=int, default=100)
     perf.add_argument("--seed", type=int, default=0)

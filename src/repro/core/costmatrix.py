@@ -277,12 +277,13 @@ def build_cost_matrices(problem: ProblemInstance,
 
     Batch-capable providers (:class:`~repro.core.costservice.
     CostService`) fill both matrices through their deduplicating batch
-    API — with atomic cost decomposition enabled (the default), every
-    EXEC column sharing a statement template's relevance signature is
-    filled from one estimate. Plain providers fall back to the
-    per-(segment, config) loop. All paths produce bit-identical
-    matrices — batching and decomposition only change how many
-    what-if calls (and how much wall time) it took to fill them.
+    API, which keys its one exact cache by (template, relevance
+    signature): every EXEC column sharing a statement template's
+    signature is filled from one estimate. Plain providers fall back
+    to the per-(segment, config) loop. All paths produce
+    bit-identical matrices — batching and decomposition only change
+    how many what-if calls (and how much wall time) it took to fill
+    them.
     """
     configs = problem.configurations
     if supports_batching(provider):

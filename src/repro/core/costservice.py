@@ -17,21 +17,20 @@ cache. :class:`CostService` centralizes that work behind the
   default) the resulting matrices are bit-identical to the serial
   path's.
 
-* **a three-level cache** — L1 by ``(sql, configuration)`` (cheap
-  exact replays), L2 by ``(template key, configuration)``
-  (constants-blind), L3 by ``(template key, relevance signature)``:
+* **one exact cache, keyed by (template key, relevance signature)** —
   the what-if optimizer derives, per template, the subset of a
   configuration's structures that can possibly affect its plan
   (:meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
   relevance_signature`), and every configuration identical on that
   subset shares one bit-identical estimate. This is the CoPhy-style
   *atomic cost decomposition*: what-if work drops from
-  O(templates x |C|) to O(templates x relevant subsets).
+  O(templates x |C|) to O(templates x relevant subsets). The
+  signature derivation itself is memoized per (template key,
+  configuration).
 
 * **instrumentation** — :class:`CostEstimationStats` counts what-if
-  calls issued vs avoided, per-level cache hits (statement /
-  template / signature), batch sizes, and wall time per phase.
-  Advisors snapshot/delta these counters into
+  calls issued vs avoided, cache hits, batch sizes, and wall time per
+  phase. Advisors snapshot/delta these counters into
   ``Recommendation.stats["costing"]``; the ``repro costs`` and
   ``repro perf`` CLI subcommands print them.
 
@@ -45,10 +44,15 @@ first-appearance order. Swapping a :class:`~repro.core.costmatrix.
 WhatIfCostProvider` for a :class:`CostService`, or a raw trace for
 its summary, never changes a single matrix entry — only how many
 optimizer calls (and how much per-statement bookkeeping) it took to
-fill them. With a fault injector attached, decomposition switches
-itself off: the degradation ladder is keyed per (template,
-configuration) and the fault firing order is part of the chaos
-family's determinism contract.
+fill them.
+
+Both EXEC entry points reach the optimizer through one degradation
+ladder, keyed per (template, signature), whether or not a fault
+injector is attached — so chaos runs exercise the production path.
+The order in which :meth:`CostService.exec_matrix` issues estimates
+(and hence where a seeded fault lands) is deterministic: missing
+(template row, signature) items in row-major, first-appearance order,
+each estimated once against its first column.
 
 Estimation is serial by design: the what-if estimates a process pool
 could fan out are about a third of an EXEC build, so Amdahl's law
@@ -68,8 +72,6 @@ from ..errors import EstimationUnavailable
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..sqlengine.whatif import StatementTemplate, WhatIfOptimizer
 from ..workload.summary import CostUnit, atoms_of
-from .costmatrix import CostMatrices
-from .problem import ProblemInstance
 from .structures import Configuration
 
 
@@ -81,10 +83,13 @@ class CostEstimationStats:
     Attributes:
         whatif_calls: estimates actually issued to the optimizer.
         whatif_calls_avoided: statement estimates served without an
-            optimizer call (any cache level, batch or scalar path).
-        statement_hits: hits in the L1 ``(sql, config)`` cache.
-        template_hits: hits in the L2 ``(template, config)`` cache.
-        signature_hits: hits in the L3 ``(template, signature)`` cache
+            optimizer call (cache hits, in-batch sharing, repeated
+            statements within a unit).
+        statement_hits / template_hits: always 0. The service keeps
+            one exact cache, whose hits count as ``signature_hits``;
+            the fields stay so readers of the counter set keep
+            working.
+        signature_hits: hits in the ``(template, signature)`` cache
             — estimates reused across configurations that agree on the
             template's relevant structure subset.
         signature_fills: additional matrix cells filled from an
@@ -99,9 +104,9 @@ class CostEstimationStats:
             (``batched_statements / batched_templates`` is the mean
             dedup factor).
         unique_templates: distinct templates seen so far.
-        unique_signatures: distinct ``(template, signature)`` pairs
-            seen so far — the true size of the decomposed estimation
-            space (compare against
+        unique_signatures: exact ``(template, signature)`` estimates
+            held in the cache — the true size of the decomposed
+            estimation space (compare against
             ``unique_templates x configurations``).
         exec_seconds / trans_seconds: wall time in EXEC / TRANS
             estimation (cache management included).
@@ -110,12 +115,13 @@ class CostEstimationStats:
         estimate_retries: immediate re-attempts of transient
             estimation faults.
         degraded_estimates: estimates served *degraded* (stale epoch
-            or upper bound) instead of exact. Consumers must never
-            treat these as exact; the online tuner watches this
-            counter to defer design changes.
+            or upper bound) instead of exact, one per (template,
+            signature) issue. Consumers must never treat these as
+            exact; the online tuner watches this counter to defer
+            design changes.
         stale_fallbacks / upper_bound_fallbacks: which rung of the
             degradation ladder resolved each newly degraded
-            (template, config) pair.
+            (template, signature) pair.
     """
 
     whatif_calls: int = 0
@@ -180,9 +186,9 @@ class CostService:
     Implements the :class:`~repro.core.costmatrix.CostProvider`
     protocol (``exec_cost`` / ``trans_cost`` / ``size_bytes``) so it
     drops in anywhere a provider is accepted, and adds the batch
-    entry points ``exec_matrix`` / ``trans_matrix`` / ``matrices_for``
-    that :func:`~repro.core.costmatrix.build_cost_matrices` routes
-    through automatically.
+    entry points ``exec_matrix`` / ``trans_matrix`` that
+    :func:`~repro.core.costmatrix.build_cost_matrices` routes through
+    automatically.
 
     Args:
         optimizer: the engine's what-if optimizer.
@@ -192,54 +198,37 @@ class CostService:
             bit-identical to the unbatched path. A coarse resolution
             (e.g. ``1e-4``) trades exactness for more template sharing
             on range-heavy workloads.
-        decompose: enable the signature-level (L3) cache tier —
-            atomic cost decomposition. On by default; it is exact, so
-            the only reason to turn it off is differential testing
-            against the undecomposed path. Automatically suspended
-            while a fault injector is attached (see module docstring).
+        retry_policy: how often a transient estimation fault is
+            retried before the degradation ladder takes over.
     """
-
-    #: Largest ``unique sqls x configurations`` batch whose entries
-    #: are copied into the L1 scalar cache. Bigger batches skip the
-    #: warm loop — scalar replays still resolve bit-equal through the
-    #: L2 template tier, without paying O(sqls x configs) dict
-    #: inserts inside every large matrix build.
-    _L1_WARM_CELL_CAP = 250_000
 
     def __init__(self, optimizer: WhatIfOptimizer,
                  selectivity_resolution: Optional[float] = None,
-                 retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-                 decompose: bool = True):
+                 retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
         self.optimizer = optimizer
         self.selectivity_resolution = selectivity_resolution
         self.retry_policy = retry_policy
-        self.decompose = decompose
         self.stats = CostEstimationStats()
         self._stats_epoch = optimizer.stats_epoch
         self._template_by_sql: Dict[str, StatementTemplate] = {}
         self._template_keys: set = set()
-        self._statement_units: Dict[Tuple[str, Configuration], float] = {}
-        self._template_units: Dict[Tuple[Tuple, Configuration], float] = {}
         self._trans_cache: Dict[Tuple[Configuration, Configuration],
                                 float] = {}
         self._size_cache: Dict[Configuration, int] = {}
-        # L3: atomic cost decomposition. _signature_units keys exact
-        # estimates by (template key, relevance signature);
-        # _signature_of memoizes the signature derivation per
-        # (template key, configuration).
-        self._signature_units: Dict[Tuple[Tuple, Tuple], float] = {}
+        # Atomic cost decomposition: _units holds every exact estimate
+        # by (template key, relevance signature); _signature_of
+        # memoizes the signature derivation per (template key,
+        # configuration).
+        self._units: Dict[Tuple[Tuple, Tuple], float] = {}
         self._signature_of: Dict[Tuple[Tuple, Configuration],
                                  Tuple] = {}
-        self._signature_keys: set = set()
-        # Degradation ladder state. _stale_units keeps the last known
-        # exact value per (template, config) across epoch
-        # invalidations — rung 2 of the ladder. _degraded_units pins
-        # degraded answers for within-epoch determinism; it is a
-        # separate cache precisely so degraded values are never
-        # promoted into the exact caches above.
-        self._stale_units: Dict[Tuple[Tuple, Configuration], float] = {}
-        self._degraded_units: Dict[Tuple[Tuple, Configuration],
-                                   float] = {}
+        # Degradation ladder state, keyed like _units. _stale_units
+        # keeps the last known exact values across epoch invalidations
+        # — rung 2 of the ladder. _degraded_units pins degraded
+        # answers for within-epoch determinism; it is separate
+        # precisely so degraded values never enter _units.
+        self._stale_units: Dict[Tuple[Tuple, Tuple], float] = {}
+        self._degraded_units: Dict[Tuple[Tuple, Tuple], float] = {}
         # Pessimistic scan bounds served by upper_bound_cost — pure
         # functions of the statistics, epoch-scoped like the rest.
         self._upper_bound_units: Dict[Tuple[Tuple, Configuration],
@@ -257,7 +246,15 @@ class CostService:
         start = time.perf_counter()
         total = 0.0
         for statement, weight in atoms_of(segment):
-            units = self._statement_units_for(statement, config)
+            template = self._template(statement)
+            signature = self._signature(template, config)
+            units = self._units.get((template.key, signature))
+            if units is None:
+                units, _degraded = self._issue(template, signature,
+                                               config)
+            else:
+                self.stats.signature_hits += 1
+                self.stats.whatif_calls_avoided += 1
             if weight > 1:
                 # Every statement beyond the representative is served
                 # from the atom's single estimate.
@@ -332,11 +329,20 @@ class CostService:
         Each unit (segment or phase summary) is reduced to its
         ``(sql, weight)`` atoms, atoms are deduplicated by template
         across the whole batch, each template is estimated once per
-        configuration (cache permitting), and the per-template costs
-        are expanded back to the unit axis — a weighted left-fold over
-        atoms in first-appearance order, matching the scalar and
-        serial-provider paths bit for bit. Work is proportional to
-        atoms x configurations, never raw statements.
+        relevance signature (cache permitting), and the per-template
+        costs are expanded back to the unit axis — a weighted
+        left-fold over atoms in first-appearance order, matching the
+        scalar and serial-provider paths bit for bit. Work is
+        proportional to atoms x configurations, never raw statements.
+
+        Cells missing from the cache are grouped into *pending* items
+        — one per (template row, signature), in row-major
+        first-appearance order — and each item is estimated once,
+        against its first column (any sharer yields the same bits:
+        that is the decomposition invariant the verify harness
+        checks), then written to every column sharing the signature.
+        A degraded answer fills those columns too but is never cached
+        as exact.
         """
         self._check_epoch()
         start = time.perf_counter()
@@ -361,45 +367,27 @@ class CostService:
                 n_statements += weight
             unit_atoms.append(pairs)
 
-        # One estimate per (template, configuration) not yet cached —
-        # or, with decomposition on, per (template, signature).
         calls_before = self.stats.whatif_calls
-        degraded_cells: set = set()
         units = np.empty((len(templates), len(configs)),
                          dtype=np.float64)
-        if self._decomposing:
-            self._fill_decomposed(units, templates, configs)
-        else:
-            # Fault-injected path: the legacy config-outer loop. Its
-            # (template, config) issue order is part of the chaos
-            # family's determinism contract.
+        pending: Dict[Tuple[int, Tuple], List[int]] = {}
+        for r, template in enumerate(templates):
             for j, config in enumerate(configs):
-                for r, template in enumerate(templates):
-                    key = (template.key, config)
-                    value = self._template_units.get(key)
-                    if value is None:
-                        value, degraded = self._issue_template(
-                            template, config)
-                        if degraded:
-                            degraded_cells.add((r, j))
-                        else:
-                            self._template_units[key] = value
-                    else:
-                        self.stats.template_hits += 1
+                signature = self._signature(template, config)
+                value = self._units.get((template.key, signature))
+                if value is None:
+                    pending.setdefault((r, signature), []).append(j)
+                else:
+                    self.stats.signature_hits += 1
                     units[r, j] = value
-
-        # Warm the L1 cache so later scalar calls are dict lookups —
-        # except from degraded cells, which never enter exact caches.
-        # Capped: at bench scale the warm loop is sqls x configs dict
-        # inserts of values the L2/L3 tiers already serve bit-equal,
-        # and it would dominate the parent-side wall of large batches.
-        if len(sql_row) * len(configs) <= self._L1_WARM_CELL_CAP:
-            for sql, row in sql_row.items():
-                for j, config in enumerate(configs):
-                    if (row, j) in degraded_cells:
-                        continue
-                    self._statement_units[(sql, config)] = float(
-                        units[row, j])
+        degraded_cells = 0
+        for (r, signature), cols in pending.items():
+            value, degraded = self._issue(templates[r], signature,
+                                          configs[cols[0]])
+            if degraded:
+                degraded_cells += len(cols)
+            self.stats.signature_fills += len(cols) - 1
+            units[r, cols] = value
 
         matrix = np.zeros((len(segments), len(configs)),
                           dtype=np.float64)
@@ -419,7 +407,7 @@ class CostService:
         self.stats.batched_templates += len(templates)
         issued = self.stats.whatif_calls - calls_before
         self.stats.whatif_calls_avoided += \
-            n_statements * len(configs) - issued - len(degraded_cells)
+            n_statements * len(configs) - issued - degraded_cells
         self.stats.exec_seconds += time.perf_counter() - start
         return matrix
 
@@ -434,20 +422,6 @@ class CostService:
                 if i != j:
                     matrix[i, j] = self.trans_cost(old, new)
         return matrix
-
-    def matrices_for(self, problem: ProblemInstance) -> CostMatrices:
-        """Materialize :class:`CostMatrices` for a problem instance
-        through the batch API."""
-        configs = problem.configurations
-        final_index = None
-        if problem.final is not None:
-            final_index = configs.index(problem.final)
-        return CostMatrices(
-            configurations=tuple(configs),
-            exec_matrix=self.exec_matrix(problem.segments, configs),
-            trans_matrix=self.trans_matrix(configs),
-            initial_index=configs.index(problem.initial),
-            final_index=final_index)
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -468,23 +442,20 @@ class CostService:
         """Drop every cache (call after out-of-band stats changes; the
         optimizer's own ``refresh_stats`` is detected automatically).
 
-        The retiring exact template values are kept as the *stale
-        epoch* — rung 2 of the degradation ladder — so estimation
-        outages after a stats refresh degrade to the last known exact
-        answer instead of the crude upper bound.
+        The retiring exact values are kept as the *stale epoch* —
+        rung 2 of the degradation ladder — so estimation outages after
+        a stats refresh degrade to the last known exact answer instead
+        of the crude upper bound.
         """
-        self._stale_units.update(self._template_units)
+        self._stale_units.update(self._units)
         self._template_by_sql.clear()
         self._template_keys.clear()
-        self._statement_units.clear()
-        self._template_units.clear()
         self._trans_cache.clear()
         self._size_cache.clear()
+        self._units.clear()
+        self._signature_of.clear()
         self._degraded_units.clear()
         self._upper_bound_units.clear()
-        self._signature_units.clear()
-        self._signature_of.clear()
-        self._signature_keys.clear()
 
     # ------------------------------------------------------------------
     # internals
@@ -495,14 +466,6 @@ class CostService:
             self.invalidate()
             self._stats_epoch = self.optimizer.stats_epoch
 
-    @property
-    def _decomposing(self) -> bool:
-        # A fault injector keeps the undecomposed path: the
-        # degradation ladder is keyed per (template, config), and
-        # sharing estimates across configs would change which cells a
-        # fault lands on.
-        return self.decompose and self.optimizer.fault_injector is None
-
     def _signature(self, template: StatementTemplate,
                    config: Configuration) -> Tuple:
         key = (template.key, config)
@@ -511,11 +474,6 @@ class CostService:
             sig = self.optimizer.relevance_signature(
                 template, config.structures)
             self._signature_of[key] = sig
-            pair = (template.key, sig)
-            if pair not in self._signature_keys:
-                self._signature_keys.add(pair)
-                self.stats.unique_signatures = len(
-                    self._signature_keys)
         return sig
 
     def _template(self, statement) -> StatementTemplate:
@@ -528,60 +486,23 @@ class CostService:
             self.stats.unique_templates = len(self._template_keys)
         return template
 
-    def _statement_units_for(self, statement,
-                             config: Configuration) -> float:
-        l1_key = (statement.sql, config)
-        units = self._statement_units.get(l1_key)
-        if units is not None:
-            self.stats.statement_hits += 1
-            self.stats.whatif_calls_avoided += 1
-            return units
-        template = self._template(statement)
-        l2_key = (template.key, config)
-        units = self._template_units.get(l2_key)
-        if units is None:
-            sig_key = None
-            if self._decomposing:
-                sig_key = (template.key,
-                           self._signature(template, config))
-                units = self._signature_units.get(sig_key)
-                if units is not None:
-                    self.stats.signature_hits += 1
-                    self.stats.whatif_calls_avoided += 1
-                    self._template_units[l2_key] = units
-                    self._statement_units[l1_key] = units
-                    return units
-            units, degraded = self._issue_template(template, config)
-            if degraded:
-                # Degraded answers never enter the exact caches.
-                return units
-            self._template_units[l2_key] = units
-            if sig_key is not None:
-                self._signature_units[sig_key] = units
-        else:
-            self.stats.template_hits += 1
-            self.stats.whatif_calls_avoided += 1
-        self._statement_units[l1_key] = units
-        return units
-
-    def _issue_template(self, template: StatementTemplate,
-                        config: Configuration
-                        ) -> Tuple[float, bool]:
-        """One (template, config) estimate through the degradation
+    def _issue(self, template: StatementTemplate, signature: Tuple,
+               config: Configuration) -> Tuple[float, bool]:
+        """One (template, signature) estimate through the degradation
         ladder: exact (with transient retries) -> last exact value
         from a previous stats epoch -> heap-scan upper bound.
 
-        Returns ``(units, degraded)``; degraded values are cached
-        separately (within-epoch determinism) and must never be
-        promoted to the exact caches.
+        ``config`` is any configuration carrying ``signature``.
+        Returns ``(units, degraded)``; exact values enter the cache,
+        degraded ones are pinned separately (within-epoch
+        determinism) and never promoted to it.
         """
+        key = (template.key, signature)
         attempt = 1
         while True:
             try:
                 units = self.optimizer.estimate_template(
                     template, config.structures).units
-                self.stats.whatif_calls += 1
-                return units, False
             except EstimationUnavailable as exc:
                 self.stats.estimate_faults += 1
                 if exc.retryable and \
@@ -590,8 +511,11 @@ class CostService:
                     attempt += 1
                     continue
                 break
+            self.stats.whatif_calls += 1
+            self._units[key] = units
+            self.stats.unique_signatures = len(self._units)
+            return units, False
         self.stats.degraded_estimates += 1
-        key = (template.key, config)
         units = self._degraded_units.get(key)
         if units is not None:
             return units, True
@@ -601,48 +525,10 @@ class CostService:
             units = stale
         else:
             self.stats.upper_bound_fallbacks += 1
+            # Sound for every sharer: the bound depends on the config
+            # only through its on-table maintenance levels, which the
+            # signature pins.
             units = self.optimizer.scan_upper_bound(
                 template.representative, config.structures)
         self._degraded_units[key] = units
         return units, True
-
-    def _fill_decomposed(self, units: np.ndarray,
-                         templates: Sequence[StatementTemplate],
-                         configs: Sequence[Configuration]) -> None:
-        """Fill the (templates x configs) unit matrix through the
-        signature tier: one estimate per (template, relevant subset),
-        every configuration sharing the subset filled from it.
-
-        Cells neither in the L2 nor the L3 cache are accumulated as
-        *pending* work — one item per (template row, signature) — and
-        estimated once, against the first configuration carrying the
-        signature (any sharer yields the same bits — that is the
-        decomposition invariant the verify harness checks), then
-        written to every column sharing the signature.
-        """
-        pending: Dict[Tuple[int, Tuple], List[int]] = {}
-        for r, template in enumerate(templates):
-            for j, config in enumerate(configs):
-                l2_key = (template.key, config)
-                value = self._template_units.get(l2_key)
-                if value is not None:
-                    self.stats.template_hits += 1
-                    units[r, j] = value
-                    continue
-                sig = self._signature(template, config)
-                value = self._signature_units.get((template.key, sig))
-                if value is not None:
-                    self.stats.signature_hits += 1
-                    self._template_units[l2_key] = value
-                    units[r, j] = value
-                    continue
-                pending.setdefault((r, sig), []).append(j)
-        for (r, sig), cols in pending.items():
-            template = templates[r]
-            value, _degraded = self._issue_template(template,
-                                                    configs[cols[0]])
-            self._signature_units[(template.key, sig)] = value
-            self.stats.signature_fills += len(cols) - 1
-            for j in cols:
-                self._template_units[(template.key, configs[j])] = value
-                units[r, j] = value

@@ -287,8 +287,14 @@ def check_engine_convergence(result: CheckResult, seed: int,
 
 def _estimate_injector(seed: int, kind: str,
                        probability: float) -> FaultInjector:
+    """Seeded estimate faults at ``probability``, plus one fault on
+    the very first estimate call: a quick instance issues only about a
+    dozen estimates, so the probability draw alone may never fire and
+    the checks built on it would be vacuous."""
     plan = FaultPlan(specs=(FaultSpec("estimate", kind,
-                                      probability=probability),),
+                                      probability=probability),
+                            FaultSpec("estimate", kind, at_call=0,
+                                      max_faults=1)),
                      label=f"{kind}_estimates")
     return FaultInjector(plan, seed)
 

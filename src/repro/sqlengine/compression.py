@@ -24,7 +24,7 @@ The level is part of a definition's *identity*: two ``IndexDef`` that
 differ only in compression are distinct candidates, distinct catalog
 objects, distinct axes in the cost matrices, and — critically —
 distinct members of every relevance signature, so the cost service's
-L3 cache can never conflate variants.
+(template, signature) cache can never conflate variants.
 """
 
 from __future__ import annotations

@@ -57,13 +57,6 @@ class TestSerialEquivalence:
         assert serial.initial_index == batched.initial_index
         assert serial.final_index == batched.final_index
 
-    def test_matrices_for_matches_build(self, small_problem, service):
-        direct = service.matrices_for(small_problem)
-        rebuilt = build_cost_matrices(small_problem, service)
-        assert np.array_equal(direct.exec_matrix, rebuilt.exec_matrix)
-        assert np.array_equal(direct.trans_matrix,
-                              rebuilt.trans_matrix)
-
     def test_scalar_exec_cost_matches_serial(self, small_db,
                                              small_problem, service):
         serial = WhatIfCostProvider(small_db.what_if())
@@ -167,13 +160,16 @@ class TestScalarCaching:
              Statement("SELECT a FROM t WHERE a = 2")), 0)
         first = service.exec_cost(segment, EMPTY_CONFIGURATION)
         # Two statements, one template: one optimizer call, one
-        # template-cache hit.
+        # cache hit.
         assert service.stats.whatif_calls == 1
-        assert service.stats.template_hits == 1
+        assert service.stats.signature_hits == 1
         second = service.exec_cost(segment, EMPTY_CONFIGURATION)
         assert second == first
         assert service.stats.whatif_calls == 1
-        assert service.stats.statement_hits == 2
+        assert service.stats.signature_hits == 3
+        # The retired per-statement and per-template tiers stay at 0.
+        assert service.stats.statement_hits == 0
+        assert service.stats.template_hits == 0
 
     def test_new_constant_hits_template_cache(self, service):
         config = Configuration({IndexDef("t", ("a",))})
@@ -182,7 +178,7 @@ class TestScalarCaching:
         assert service.exec_cost(s1, config) == \
             service.exec_cost(s2, config)
         assert service.stats.whatif_calls == 1
-        assert service.stats.template_hits == 1
+        assert service.stats.signature_hits == 1
         assert service.stats.unique_templates == 1
 
     def test_trans_and_size_caches(self, service, paper_candidates):
@@ -240,10 +236,11 @@ class TestBatchCounters:
         service.exec_matrix(small_problem.segments,
                             small_problem.configurations)
         issued = service.stats.whatif_calls
+        hits = service.stats.signature_hits
         service.exec_cost(small_problem.segments[0],
                           small_problem.configurations[0])
         assert service.stats.whatif_calls == issued
-        assert service.stats.statement_hits == \
+        assert service.stats.signature_hits - hits == \
             len(small_problem.segments[0])
 
     def test_empty_segment_row_is_zero(self, service,
@@ -394,21 +391,26 @@ class TestStatsBookkeeping:
 
 
 class TestDecomposition:
-    """Relevance-signature (L3) tier: fewer calls, identical bits."""
+    """The (template, relevance signature) cache: fewer calls,
+    identical bits."""
 
     @pytest.mark.parametrize("name", ["W1", "W2", "W3"])
     def test_bit_identical_to_undecomposed(self, small_db,
                                            paper_candidates, name):
+        """Against the serial provider, which estimates every
+        (statement, configuration) pair; the decomposed service must
+        also issue fewer calls than one per (template,
+        configuration)."""
         problem = _problem(name, paper_candidates)
-        undecomposed = CostService(small_db.what_if(),
-                                   decompose=False)
         decomposed = CostService(small_db.what_if())
-        base = build_cost_matrices(problem, undecomposed)
+        base = build_cost_matrices(
+            problem, WhatIfCostProvider(small_db.what_if()))
         dec = build_cost_matrices(problem, decomposed)
         assert np.array_equal(base.exec_matrix, dec.exec_matrix)
         assert np.array_equal(base.trans_matrix, dec.trans_matrix)
         assert decomposed.stats.whatif_calls < \
-            undecomposed.stats.whatif_calls
+            decomposed.stats.unique_templates * \
+            problem.n_configurations
 
     def test_scalar_path_uses_signature_cache(self, small_db,
                                               small_problem):
@@ -419,7 +421,7 @@ class TestDecomposition:
         service.exec_cost(segment, a)
         calls = service.stats.whatif_calls
         # Queries untouched by I(c,d) resolve from the signature
-        # tier; only templates I(c,d) can serve cost new calls.
+        # cache; only templates I(c,d) can serve cost new calls.
         service.exec_cost(segment, padded)
         assert service.stats.signature_hits > 0
         assert service.stats.whatif_calls - calls < \
@@ -430,9 +432,9 @@ class TestDecomposition:
         service = CostService(small_db.what_if())
         service.exec_matrix(small_problem.segments,
                             small_problem.configurations)
-        assert service._signature_units
+        assert service._units
         service.invalidate()
-        assert not service._signature_units
+        assert not service._units
         assert not service._signature_of
         calls = service.stats.whatif_calls
         service.exec_matrix(small_problem.segments,
@@ -443,22 +445,22 @@ class TestDecomposition:
         """Cache-conflation regression: compressed variants are
         distinct signature members, so the decomposed service must
         neither serve one level's units for another nor drift from
-        the undecomposed bits over a level-only-differing space."""
+        the serial provider's bits over a level-only-differing
+        space."""
         from repro.core.structures import (Compression,
                                           compressed_variants)
         base = [IndexDef("t", ("a",)), IndexDef("t", ("a", "b"))]
         candidates = list(compressed_variants(base))
         assert len(candidates) == 3 * len(base)
         problem = _problem("W1", candidates)
-        undecomposed = CostService(small_db.what_if(),
-                                   decompose=False)
-        decomposed = CostService(small_db.what_if())
-        raw = build_cost_matrices(problem, undecomposed)
-        dec = build_cost_matrices(problem, decomposed)
+        raw = build_cost_matrices(
+            problem, WhatIfCostProvider(small_db.what_if()))
+        dec = build_cost_matrices(problem,
+                                  CostService(small_db.what_if()))
         assert np.array_equal(raw.exec_matrix, dec.exec_matrix)
         assert np.array_equal(raw.trans_matrix, dec.trans_matrix)
         # The levels genuinely price differently somewhere — if the
-        # L3 key dropped the level, these columns would be forced
+        # signature dropped the level, these columns would be forced
         # equal and this assertion is what would catch it.
         configs = list(problem.configurations)
         none_col = configs.index(Configuration(
@@ -467,14 +469,3 @@ class TestDecomposition:
             {IndexDef("t", ("a", "b"), Compression.HEAVY)}))
         assert not np.array_equal(dec.exec_matrix[:, none_col],
                                   dec.exec_matrix[:, heavy_col])
-
-    def test_fault_injector_disables_decomposition(self, small_db):
-        from repro.faults import FaultInjector, FaultPlan
-        injector = FaultInjector(FaultPlan(specs=()), seed=0)
-        optimizer = small_db.what_if()
-        optimizer.fault_injector = injector
-        service = CostService(optimizer)
-        assert service.decompose is True
-        assert service._decomposing is False
-        plain = CostService(small_db.what_if())
-        assert plain._decomposing is True

@@ -56,14 +56,15 @@ def test_ground_truth_budget_violation_is_reported(quick_trace):
 
 
 def test_cost_service_check_detects_poisoned_cache(quick_trace):
-    """Corrupting one cached template cost must break bit-identity."""
+    """Corrupting one cached (template, signature) cost must break
+    bit-identity."""
     trace = random_trace_problem(seed=9, nrows=2_000, n_blocks=2,
                                  block_size=10)
     service = trace.service
     service.exec_matrix(trace.problem.segments,
                         trace.problem.configurations)
-    key = next(iter(service._template_units))
-    service._template_units[key] += 0.5
+    key = next(iter(service._units))
+    service._units[key] += 0.5
     result = CheckResult("costservice", "negative")
     check_cost_service(trace, result)
     assert not result.ok
