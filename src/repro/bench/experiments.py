@@ -210,7 +210,8 @@ def run_table2(setup: PaperSetup, k: int = 2) -> Table2Result:
     out block by block."""
     problem = setup.problem_for("W1", k=k)
     matrices = build_cost_matrices(problem, setup.provider)
-    unconstrained = UnconstrainedAdvisor().recommend(
+    unconstrained = UnconstrainedAdvisor(
+        count_initial_change=COUNT_INITIAL_CHANGE).recommend(
         problem, setup.provider, matrices)
     constrained = ConstrainedGraphAdvisor(
         k, count_initial_change=COUNT_INITIAL_CHANGE).recommend(
@@ -463,7 +464,7 @@ def run_ablation_greedy_seq(setup: PaperSetup, k: Optional[int] = 2,
     what_if = setup.provider.optimizer
     full_configs = enumerate_configurations(
         setup.candidates,
-        size_fn=lambda c: what_if.configuration_size_bytes(c.indexes),
+        size_fn=lambda c: what_if.configuration_size_bytes(c.structures),
         max_indexes=max_indexes)
     problem = ProblemInstance(
         segments=tuple(setup.segments["W1"]),
@@ -823,7 +824,7 @@ def run_ablation_space_bound(setup: PaperSetup,
         configs = enumerate_configurations(
             setup.candidates,
             size_fn=lambda c:
-            what_if.configuration_size_bytes(c.indexes),
+            what_if.configuration_size_bytes(c.structures),
             space_bound_bytes=int(bound * 1e6),
             max_indexes=max_indexes)
         problem = ProblemInstance(

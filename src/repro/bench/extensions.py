@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.advisor import (ConstrainedGraphAdvisor,
                             UnconstrainedAdvisor)
-from ..core.costmatrix import build_cost_matrices
+from ..core.costmatrix import build_cost_matrices, count_changes
 from ..core.ktuning import (KSweepResult, ValidatedKResult, knee_k,
                             sweep_k, validated_k)
 from ..core.online import OnlineTuner
@@ -157,10 +157,12 @@ def run_extension_online(setup: PaperSetup,
                          cooldown: Optional[int] = None
                          ) -> OnlineComparisonResult:
     """Run the online tuner over W1 and compare with the offline
-    advisors on total (EXEC + TRANS) cost."""
+    advisors on total (EXEC + TRANS) cost; every row counts design
+    changes under ``COUNT_INITIAL_CHANGE``."""
     problem = setup.problem_for("W1")
     matrices = build_cost_matrices(problem, setup.provider)
-    unconstrained = UnconstrainedAdvisor().recommend(
+    unconstrained = UnconstrainedAdvisor(
+        count_initial_change=COUNT_INITIAL_CHANGE).recommend(
         problem, setup.provider, matrices)
     constrained = ConstrainedGraphAdvisor(
         2, count_initial_change=COUNT_INITIAL_CHANGE).recommend(
@@ -175,7 +177,9 @@ def run_extension_online(setup: PaperSetup,
          unconstrained.change_count),
         ("offline constrained k=2", constrained.cost,
          constrained.change_count),
-        ("online tuner", online.total_cost, online.change_count),
+        ("online tuner", online.total_cost,
+         count_changes(online.design.assignments, online.design.initial,
+                       COUNT_INITIAL_CHANGE)),
     ]
     return OnlineComparisonResult(rows=rows,
                                   online_decisions=len(

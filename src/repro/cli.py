@@ -100,7 +100,8 @@ _ADVISORS = {
     "hybrid": lambda k: HybridAdvisor(k, count_initial_change=False),
     "greedy-seq": lambda k: GreedySeqAdvisor(
         k, count_initial_change=False),
-    "unconstrained": lambda k: UnconstrainedAdvisor(),
+    "unconstrained": lambda k: UnconstrainedAdvisor(
+        count_initial_change=False),
 }
 
 

@@ -110,16 +110,21 @@ class Advisor:
         if matrices is None:
             matrices = build_cost_matrices(problem, provider)
         start = time.perf_counter()
-        assignment, cost, changes, stats = self._solve(problem, matrices)
+        assignment, cost, stats = self._solve(problem, matrices)
         elapsed = time.perf_counter() - start
         meter.attach(stats)
         design = design_from_indices(matrices, assignment,
                                      problem.initial)
-        return Recommendation(advisor=self.name, design=design,
-                              cost=cost, change_count=changes,
-                              wall_time_seconds=elapsed, stats=stats)
+        return Recommendation(
+            advisor=self.name, design=design, cost=cost,
+            change_count=matrices.change_count(
+                assignment, self.count_initial_change),
+            wall_time_seconds=elapsed, stats=stats)
 
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
+        """Return ``(assignment, cost, stats)``; :meth:`recommend`
+        counts the assignment's changes under this advisor's
+        convention."""
         raise NotImplementedError
 
 
@@ -151,7 +156,7 @@ class UnconstrainedAdvisor(Advisor):
 
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_unconstrained(matrices)
-        return (result.assignment, result.cost, result.change_count,
+        return (result.assignment, result.cost,
                 {"n_configurations": matrices.n_configurations})
 
 
@@ -170,7 +175,6 @@ class StaticAdvisor(Advisor):
         best = int(np.argmin(totals))
         assignment = tuple([best] * matrices.n_segments)
         return (assignment, float(totals[best]),
-                matrices.change_count(assignment),
                 {"chosen": matrices.configurations[best].label})
 
 
@@ -186,7 +190,7 @@ class ConstrainedGraphAdvisor(Advisor):
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_constrained(matrices, self.k,
                                    self.count_initial_change)
-        return (result.assignment, result.cost, result.change_count,
+        return (result.assignment, result.cost,
                 {"k": self.k, "layers_used": result.layers_used})
 
 
@@ -215,7 +219,7 @@ class LPAdvisor(Advisor):
         result = solve_lp_rounding(matrices, self.k,
                                    self.count_initial_change,
                                    max_iterations=self.max_iterations)
-        return (result.assignment, result.cost, result.change_count,
+        return (result.assignment, result.cost,
                 {"k": self.k, "lower_bound": result.lower_bound,
                  "gap": result.gap, "iterations": result.iterations,
                  "method": result.method})
@@ -234,9 +238,11 @@ class MergingAdvisor(Advisor):
         unconstrained = solve_unconstrained(matrices)
         merged = merge_to_k(matrices, list(unconstrained.assignment),
                             self.k, self.count_initial_change)
-        return (merged.assignment, merged.cost, merged.change_count,
+        return (merged.assignment, merged.cost,
                 {"k": self.k, "merge_steps": len(merged.steps),
-                 "initial_changes": unconstrained.change_count})
+                 "initial_changes": matrices.change_count(
+                     unconstrained.assignment,
+                     self.count_initial_change)})
 
 
 class RankingAdvisor(Advisor):
@@ -254,7 +260,7 @@ class RankingAdvisor(Advisor):
         result = solve_by_ranking(matrices, self.k,
                                   self.count_initial_change,
                                   max_paths=self.max_paths)
-        return (result.assignment, result.cost, result.change_count,
+        return (result.assignment, result.cost,
                 {"k": self.k,
                  "paths_examined": result.paths_examined})
 
@@ -274,7 +280,7 @@ class HybridAdvisor(Advisor):
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_hybrid(matrices, self.k,
                               self.count_initial_change, self.bias)
-        return (result.assignment, result.cost, result.change_count,
+        return (result.assignment, result.cost,
                 {"k": self.k, "method": result.method,
                  "estimated_graph_ops": result.estimated_graph_ops,
                  "estimated_merge_ops": result.estimated_merge_ops})
@@ -308,13 +314,10 @@ class GreedySeqAdvisor(Advisor):
         reduced_matrices = build_cost_matrices(reduced, provider)
         if self.k is None:
             result = solve_unconstrained(reduced_matrices)
-            assignment, cost = result.assignment, result.cost
-            changes = result.change_count
         else:
-            constrained = solve_constrained(reduced_matrices, self.k,
-                                            self.count_initial_change)
-            assignment, cost = constrained.assignment, constrained.cost
-            changes = constrained.change_count
+            result = solve_constrained(reduced_matrices, self.k,
+                                       self.count_initial_change)
+        assignment, cost = result.assignment, result.cost
         elapsed = time.perf_counter() - start
         design = design_from_indices(reduced_matrices, assignment,
                                      problem.initial)
@@ -325,8 +328,9 @@ class GreedySeqAdvisor(Advisor):
         meter.attach(stats)
         return Recommendation(
             advisor=self.name, design=design, cost=cost,
-            change_count=changes, wall_time_seconds=elapsed,
-            stats=stats)
+            change_count=reduced_matrices.change_count(
+                assignment, self.count_initial_change),
+            wall_time_seconds=elapsed, stats=stats)
 
     def _solve(self, problem, matrices):  # pragma: no cover
         raise DesignError("GreedySeqAdvisor overrides recommend()")

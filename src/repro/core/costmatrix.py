@@ -248,19 +248,38 @@ class CostMatrices:
             total += self.trans_matrix[previous, self.final_index]
         return float(total)
 
-    def change_count(self, assignment: Sequence[int]) -> int:
-        """Number of design changes, counting C0 -> C1 (paper rule).
+    def change_count(self, assignment: Sequence[int],
+                     count_initial_change: bool = True) -> int:
+        """Number of design changes of a column-index assignment
+        under either counting convention (see :func:`count_changes`).
 
         A required final configuration does not count toward k (the
         destination node lies beyond stage n in the sequence graph).
         """
-        changes = 0
-        previous = self.initial_index
-        for cfg in assignment:
-            if cfg != previous:
-                changes += 1
-            previous = cfg
-        return changes
+        return count_changes(assignment, self.initial_index,
+                             count_initial_change)
+
+
+def count_changes(assignment: Sequence, initial,
+                  count_initial_change: bool = True) -> int:
+    """Definition 1's change count: positions i where C(i-1) != C(i).
+
+    Strict counting (``count_initial_change=True``) starts from the
+    given ``initial`` design C0, so the C0 -> C1 step counts. The
+    paper's experiments do not charge that initial build; with
+    ``count_initial_change=False`` counting starts from
+    ``assignment[0]``. Works on configuration indices and on
+    :class:`~repro.core.structures.Configuration` objects alike.
+    """
+    previous = initial
+    if not count_initial_change and len(assignment) > 0:
+        previous = assignment[0]
+    changes = 0
+    for current in assignment:
+        if current != previous:
+            changes += 1
+        previous = current
+    return changes
 
 
 def supports_batching(provider: CostProvider) -> bool:

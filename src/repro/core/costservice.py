@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -191,22 +191,16 @@ class CostService:
     automatically.
 
     Args:
-        optimizer: the engine's what-if optimizer.
-        selectivity_resolution: optional bucket width for folding
-            predicate selectivities into template keys. ``None``
-            (default) keeps exact selectivities — estimates are then
-            bit-identical to the unbatched path. A coarse resolution
-            (e.g. ``1e-4``) trades exactness for more template sharing
-            on range-heavy workloads.
+        optimizer: the engine's what-if optimizer. Template keys
+            carry exact predicate selectivities, so estimates are
+            bit-identical to the unbatched path.
         retry_policy: how often a transient estimation fault is
             retried before the degradation ladder takes over.
     """
 
     def __init__(self, optimizer: WhatIfOptimizer,
-                 selectivity_resolution: Optional[float] = None,
                  retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
         self.optimizer = optimizer
-        self.selectivity_resolution = selectivity_resolution
         self.retry_policy = retry_policy
         self.stats = CostEstimationStats()
         self._stats_epoch = optimizer.stats_epoch
@@ -479,8 +473,7 @@ class CostService:
     def _template(self, statement) -> StatementTemplate:
         template = self._template_by_sql.get(statement.sql)
         if template is None:
-            template = self.optimizer.statement_template(
-                statement.ast, self.selectivity_resolution)
+            template = self.optimizer.statement_template(statement.ast)
             self._template_by_sql[statement.sql] = template
             self._template_keys.add(template.key)
             self.stats.unique_templates = len(self._template_keys)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import DesignError
-from .costmatrix import CostMatrices
+from .costmatrix import CostMatrices, count_changes
 from .structures import Configuration
 
 
@@ -63,14 +63,9 @@ class DesignSequence:
 
     @property
     def change_count(self) -> int:
-        """Design changes, counting C0 -> C1 (the paper's rule)."""
-        changes = 0
-        previous = self.initial
-        for config in self.assignments:
-            if config != previous:
-                changes += 1
-            previous = config
-        return changes
+        """Design changes, counting C0 -> C1 (strict Definition 1;
+        see :func:`~repro.core.costmatrix.count_changes`)."""
+        return count_changes(self.assignments, self.initial)
 
     def runs(self) -> List[DesignRun]:
         """Run-length encoding of the assignment."""

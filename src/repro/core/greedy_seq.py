@@ -149,7 +149,7 @@ def reduce_problem(problem: ProblemInstance, provider: CostProvider,
     if candidate_indexes is None:
         seen = set()
         for config in problem.configurations:
-            seen.update(config.indexes)
+            seen.update(config.structures)
         candidate_indexes = sorted(seen, key=structure_sort_key)
     greedy = greedy_seq_candidates(
         problem.segments, candidate_indexes, provider,

@@ -63,7 +63,7 @@ def solve_hybrid(matrices: CostMatrices, k: int,
         matrices: EXEC/TRANS matrices.
         k: change budget.
         count_initial_change: change-counting convention (see
-            :mod:`.kaware`).
+            :func:`~repro.core.costmatrix.count_changes`).
         bias: multiplier on the merging estimate; > 1 biases toward
             the (optimal) k-aware graph, < 1 toward (faster, heuristic)
             merging. 1.0 compares raw work estimates.
@@ -74,8 +74,8 @@ def solve_hybrid(matrices: CostMatrices, k: int,
     n_cfg = matrices.n_configurations
 
     unconstrained = solve_unconstrained(matrices)
-    l_changes = _changes(matrices, unconstrained.assignment,
-                         count_initial_change)
+    l_changes = matrices.change_count(unconstrained.assignment,
+                                      count_initial_change)
     if l_changes <= k:
         return HybridResult(
             assignment=unconstrained.assignment,
@@ -101,15 +101,3 @@ def solve_hybrid(matrices: CostMatrices, k: int,
         change_count=merged.change_count, method="merging",
         estimated_graph_ops=graph_ops,
         estimated_merge_ops=merge_ops)
-
-
-def _changes(matrices: CostMatrices, assignment: Tuple[int, ...],
-             count_initial_change: bool) -> int:
-    changes = 0
-    previous = matrices.initial_index if count_initial_change else \
-        assignment[0]
-    for cfg in assignment:
-        if cfg != previous:
-            changes += 1
-        previous = cfg
-    return changes

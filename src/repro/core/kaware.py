@@ -21,7 +21,8 @@ build would already consume one change under the strict count — so the
 experimental k evidently does not charge the C0 -> C1 transition. Both
 semantics are supported via ``count_initial_change`` (default True =
 strict Definition 1; the experiment harness passes False to match the
-paper's tables).
+paper's tables); every solver counts with the one rule,
+:func:`~repro.core.costmatrix.count_changes`.
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ def solve_constrained(matrices: CostMatrices, k: int,
     assignment = _reconstruct(parent_cfg, parent_stay, layer, cfg)
     return ConstrainedResult(
         assignment=assignment, cost=cost,
-        change_count=matrices.change_count(assignment)
-        if count_initial_change else _changes_excluding_initial(
-            matrices, assignment),
+        change_count=matrices.change_count(assignment,
+                                           count_initial_change),
         layers_used=layer)
 
 
@@ -152,15 +152,6 @@ def _reconstruct(parent_cfg: np.ndarray, parent_stay: np.ndarray,
         assignment.append(cfg)
     assignment.reverse()
     return tuple(assignment)
-
-
-def _changes_excluding_initial(matrices: CostMatrices,
-                               assignment: Tuple[int, ...]) -> int:
-    changes = 0
-    for previous, current in zip(assignment, assignment[1:]):
-        if current != previous:
-            changes += 1
-    return changes
 
 
 def constrained_invariant_violations(
@@ -194,9 +185,7 @@ def constrained_invariant_violations(
         violations.append(
             f"reported cost {result.cost!r} != canonical "
             f"sequence cost {canonical!r}")
-    changes = matrices.change_count(assignment) \
-        if count_initial_change \
-        else _changes_excluding_initial(matrices, assignment)
+    changes = matrices.change_count(assignment, count_initial_change)
     if changes != result.change_count:
         violations.append(
             f"reported change count {result.change_count} != "
@@ -303,7 +292,6 @@ def solve_constrained_reference(matrices: CostMatrices, k: int,
     assignment_t = tuple(assignment)
     return ConstrainedResult(
         assignment=assignment_t, cost=float(best),
-        change_count=matrices.change_count(assignment_t)
-        if count_initial_change else _changes_excluding_initial(
-            matrices, assignment_t),
+        change_count=matrices.change_count(assignment_t,
+                                           count_initial_change),
         layers_used=best_state[0])

@@ -66,10 +66,12 @@ def sweep_k(matrices: CostMatrices,
             ks: Optional[Sequence[int]] = None,
             count_initial_change: bool = True) -> KSweepResult:
     """Solve the constrained problem for every k in ``ks`` (default:
-    0..l, where l is the unconstrained change count)."""
+    0..l, where l is the unconstrained optimum's change count under
+    ``count_initial_change``, see
+    :func:`~repro.core.costmatrix.count_changes`)."""
     unconstrained = solve_unconstrained(matrices)
-    l_changes = unconstrained.change_count if count_initial_change \
-        else _changes_excl_initial(unconstrained.assignment)
+    l_changes = matrices.change_count(unconstrained.assignment,
+                                      count_initial_change)
     if ks is None:
         ks = range(0, l_changes + 1)
     ks = sorted(set(int(k) for k in ks))
@@ -174,12 +176,14 @@ def validated_k(problem: AnyProblem, provider: CostProvider,
             blocks/phases as the training problem.
         block_size: segmentation used for raw variation workloads
             (summaries carry their own phase boundaries).
-        ks: candidate budgets (default 0..l).
+        ks: candidate budgets (default 0..l, as in :func:`sweep_k`).
+        count_initial_change: the change-counting convention for both
+            l and the constrained solves.
     """
     matrices = build_cost_matrices(problem, provider)
     unconstrained = solve_unconstrained(matrices)
-    l_changes = unconstrained.change_count if count_initial_change \
-        else _changes_excl_initial(unconstrained.assignment)
+    l_changes = matrices.change_count(unconstrained.assignment,
+                                      count_initial_change)
     if ks is None:
         ks = range(0, l_changes + 1)
     ks = sorted(set(int(k) for k in ks))
@@ -275,7 +279,3 @@ def _design_cost_on(provider: CostProvider,
     if problem.final is not None and problem.final != current:
         total += provider.trans_cost(current, problem.final)
     return total
-
-
-def _changes_excl_initial(assignment: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(assignment, assignment[1:]) if a != b)

@@ -29,7 +29,8 @@ the budget (``lam = 0`` feasible) the result is exact and the gap is
 zero. Verify family 7 cross-checks the bound and the constraints
 against the exact DP on reference instances.
 
-Counting conventions match :mod:`repro.core.kaware`: with
+Changes are counted by :func:`~repro.core.costmatrix.count_changes`,
+like every other solver: with
 ``count_initial_change`` (strict Definition 1) the C0 -> C1 hop is
 penalized and counted; without it the first hop is free; a required
 final configuration is charged but never penalized nor counted.
@@ -111,19 +112,6 @@ def _solve_penalized(matrices: CostMatrices, lam: float,
     return _walk_parents(parents, last), float(dist[last])
 
 
-def _counted_changes(matrices: CostMatrices,
-                     assignment: Tuple[int, ...],
-                     count_initial_change: bool) -> int:
-    changes = 0
-    previous = matrices.initial_index if count_initial_change else \
-        assignment[0]
-    for cfg in assignment:
-        if cfg != previous:
-            changes += 1
-        previous = cfg
-    return changes
-
-
 def solve_lp_rounding(matrices: CostMatrices, k: int,
                       count_initial_change: bool = True,
                       max_iterations: int = 48,
@@ -134,7 +122,7 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
         matrices: EXEC/TRANS matrices (with initial/final columns).
         k: maximum number of design changes.
         count_initial_change: whether C0 -> C1 consumes change budget
-            (see :mod:`repro.core.kaware`).
+            (see :func:`~repro.core.costmatrix.count_changes`).
         max_iterations: cap on penalized DP solves across the
             multiplier search.
         tolerance: relative bracket width at which the bisection
@@ -150,8 +138,8 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
         assignment, penalized = _solve_penalized(
             matrices, lam, count_initial_change)
         cost = matrices.sequence_cost(assignment)
-        changes = _counted_changes(matrices, assignment,
-                                   count_initial_change)
+        changes = matrices.change_count(assignment,
+                                        count_initial_change)
         return assignment, cost, changes, penalized - lam * k
 
     iterations = 1

@@ -75,7 +75,7 @@ def merge_to_k(matrices: CostMatrices,
             the unconstrained optimum.
         k: target change budget.
         count_initial_change: whether C0 -> C1 counts (see
-            :mod:`.kaware` for the two conventions).
+            :func:`~repro.core.costmatrix.count_changes`).
     """
     if k < 0:
         raise InfeasibleProblemError(f"change budget k={k} is negative")
@@ -83,8 +83,8 @@ def merge_to_k(matrices: CostMatrices,
         raise DesignError("assignment length != number of segments")
     runs = _runs_of(list(assignment))
     steps: List[MergeStep] = []
-    while _change_count(runs, matrices.initial_index,
-                        count_initial_change) > k:
+    while matrices.change_count(_assignment_of(runs),
+                                count_initial_change) > k:
         if len(runs) == 1:
             # A single run differing from C0 under strict counting:
             # replace it with the initial configuration.
@@ -103,8 +103,8 @@ def merge_to_k(matrices: CostMatrices,
     merged = _assignment_of(runs)
     return MergingResult(
         assignment=merged, cost=matrices.sequence_cost(merged),
-        change_count=_change_count(runs, matrices.initial_index,
-                                   count_initial_change),
+        change_count=matrices.change_count(merged,
+                                           count_initial_change),
         steps=steps)
 
 
@@ -127,14 +127,6 @@ def _assignment_of(runs: List[_Run]) -> Tuple[int, ...]:
     for run in runs:
         out.extend([run.cfg] * (run.end - run.start))
     return tuple(out)
-
-
-def _change_count(runs: List[_Run], initial_index: int,
-                  count_initial_change: bool) -> int:
-    changes = len(runs) - 1
-    if count_initial_change and runs[0].cfg != initial_index:
-        changes += 1
-    return changes
 
 
 def _best_merge(matrices: CostMatrices, runs: List[_Run],

@@ -80,7 +80,8 @@ def solve_by_ranking(matrices: CostMatrices, k: int,
                 f"no design sequence with at most {k} changes exists")
         examined = rank
         assignment = ranker.assignment_of(SINK, rank)
-        changes = _changes(matrices, assignment, count_initial_change)
+        changes = matrices.change_count(assignment,
+                                        count_initial_change)
         if changes <= k:
             return RankingResult(assignment=assignment,
                                  cost=entry[0],
@@ -90,18 +91,6 @@ def solve_by_ranking(matrices: CostMatrices, k: int,
     raise RankingExhaustedError(
         f"no feasible path within {max_paths} ranked paths",
         paths_examined=examined, best_infeasible_cost=best_infeasible)
-
-
-def _changes(matrices: CostMatrices, assignment: Tuple[int, ...],
-             count_initial_change: bool) -> int:
-    changes = 0
-    previous = matrices.initial_index if count_initial_change else \
-        assignment[0]
-    for cfg in assignment:
-        if cfg != previous:
-            changes += 1
-        previous = cfg
-    return changes
 
 
 class _PathRanker:

@@ -46,11 +46,6 @@ class Configuration:
     # -- set-ish interface ------------------------------------------------
 
     @property
-    def indexes(self) -> FrozenSet[IndexDef]:
-        """The full structure set (historical name — views included)."""
-        return self._indexes
-
-    @property
     def structures(self) -> FrozenSet:
         """All design structures: indexes *and* materialized views.
 
@@ -59,8 +54,7 @@ class Configuration:
         :class:`~repro.sqlengine.views.ViewDef`, at any compression
         level — in one frozenset, so equality/hashing (and therefore
         every cost-cache key built from a configuration) covers them
-        all. Cost paths read this alias so the intent survives the
-        next structure kind.
+        all.
         """
         return self._indexes
 
@@ -83,12 +77,6 @@ class Configuration:
     def without_structure(self, definition) -> "Configuration":
         """This configuration minus one structure (any kind)."""
         return Configuration(self._indexes - {definition})
-
-    #: Historical, index-named spellings of
-    #: :meth:`with_structure`/:meth:`without_structure`. They always
-    #: accepted any structure kind; the neutral names are preferred.
-    with_index = with_structure
-    without_index = without_structure
 
     def added(self, other: "Configuration") -> FrozenSet[IndexDef]:
         """Structures present here but not in ``other``."""

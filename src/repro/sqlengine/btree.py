@@ -325,15 +325,6 @@ class BPlusTree:
     # internals
     # ------------------------------------------------------------------
 
-    def _find_leaf(self, key: Key) -> _Leaf:
-        """Leaf for *inserting* ``key`` (duplicates placed rightmost)."""
-        node = self._root
-        while not node.is_leaf:
-            internal = node  # type: _Internal  # type: ignore[assignment]
-            idx = bisect.bisect_right(internal.keys, key)
-            node = internal.children[idx]
-        return node  # type: ignore[return-value]
-
     def _find_leaf_first(self, key: Key) -> _Leaf:
         """Leaf holding the *first* occurrence of ``key`` (or its
         insertion point). Descends with bisect_left so duplicates that

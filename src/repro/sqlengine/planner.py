@@ -348,7 +348,7 @@ def structure_can_serve(info: QueryInfo, definition) -> bool:
     a query — the gate under which :func:`enumerate_access_paths`
     would realize a plan for it.
 
-    This must stay the exact mirror of the enumeration rules above: an
+    It applies the enumeration's own rules (:func:`_index_access`): an
     index serves when it offers a seek (an equality prefix, or a range
     on the column right after the prefix) or an index-only scan
     (covering); a view serves when it covers every referenced column;
@@ -369,16 +369,7 @@ def structure_can_serve(info: QueryInfo, definition) -> bool:
         return False
     if isinstance(definition, ViewDef):
         return definition.covers(info.referenced_columns)
-    covering = definition.covers(info.referenced_columns)
-    prefix_len = 0
-    for column in definition.columns:
-        if column in info.eq_predicates:
-            prefix_len += 1
-        else:
-            break
-    uses_range = (prefix_len < len(definition.columns) and
-                  definition.columns[prefix_len] in
-                  info.range_predicates)
+    prefix_len, uses_range, covering = _index_access(info, definition)
     return prefix_len > 0 or uses_range or covering
 
 
@@ -394,13 +385,12 @@ def relevant_structures(info: QueryInfo,
                  if structure_can_serve(info, d))
 
 
-def _paths_for_index(info: QueryInfo, stats: TableStats,
-                     definition: IndexDef, geometry: IndexGeometry,
-                     out_rows: float,
-                     params: CostParams) -> List[AccessPath]:
-    paths: List[AccessPath] = []
-    covering = definition.covers(info.referenced_columns)
-    # --- index seek: equality prefix (+ optional next-column range) ---
+def _index_access(info: QueryInfo,
+                  definition: IndexDef) -> Tuple[int, bool, bool]:
+    """How an index can serve ``info``: ``(prefix_len, uses_range,
+    covering)`` — the length of its equality-predicate key prefix,
+    whether the next key column carries a range predicate, and
+    whether it covers every referenced column."""
     prefix_len = 0
     for column in definition.columns:
         if column in info.eq_predicates:
@@ -410,6 +400,17 @@ def _paths_for_index(info: QueryInfo, stats: TableStats,
     uses_range = (prefix_len < len(definition.columns) and
                   definition.columns[prefix_len] in
                   info.range_predicates)
+    return (prefix_len, uses_range,
+            definition.covers(info.referenced_columns))
+
+
+def _paths_for_index(info: QueryInfo, stats: TableStats,
+                     definition: IndexDef, geometry: IndexGeometry,
+                     out_rows: float,
+                     params: CostParams) -> List[AccessPath]:
+    paths: List[AccessPath] = []
+    prefix_len, uses_range, covering = _index_access(info, definition)
+    # --- index seek: equality prefix (+ optional next-column range) ---
     if prefix_len > 0 or uses_range:
         paths.append(_realize(
             info, stats, params, out_rows, kind="index_seek",

@@ -65,9 +65,6 @@ class _Parser:
             return True
         return False
 
-    def at_keyword(self, word: str) -> bool:
-        return self.current.kind == "KEYWORD" and self.current.text == word
-
     # -- grammar --------------------------------------------------------
 
     def parse_statement(self) -> Statement:

@@ -73,11 +73,10 @@ class StatementTemplate:
     tell them apart: same statement kind, table, selected columns,
     aggregates/ordering/grouping, and — the folding step — the same
     per-column predicate *selectivities*. Constants themselves are
-    discarded; only the selectivity each predicate induces under the
-    current statistics is kept (optionally quantized into buckets).
-    With exact selectivities (the default), estimating the
-    representative statement yields the bit-identical result every
-    member of the template would get.
+    discarded; only the exact selectivity each predicate induces under
+    the current statistics is kept, so estimating the representative
+    statement yields the bit-identical result every member of the
+    template would get.
 
     Attributes:
         key: hashable signature (the dedup/cache key).
@@ -145,22 +144,11 @@ class WhatIfOptimizer:
     # templates (the batched-estimation entry point)
     # ------------------------------------------------------------------
 
-    def statement_template(self, stmt: Statement,
-                           selectivity_resolution: Optional[float] = None
-                           ) -> StatementTemplate:
-        """Reduce ``stmt`` to its :class:`StatementTemplate`.
-
-        Args:
-            stmt: the parsed statement.
-            selectivity_resolution: when given, selectivities are
-                quantized into buckets of this width before entering
-                the key — coarser dedup at the price of exactness.
-                ``None`` (default) keeps exact selectivities, which
-                preserves bit-identical estimates within a template.
-        """
+    def statement_template(self, stmt: Statement) -> StatementTemplate:
+        """Reduce the parsed ``stmt`` to its
+        :class:`StatementTemplate`."""
         if isinstance(stmt, SelectStmt):
-            key = ("select",
-                   self._select_signature(stmt, selectivity_resolution))
+            key = ("select", self._select_signature(stmt))
             return StatementTemplate(key=key, representative=stmt)
         if isinstance(stmt, InsertStmt):
             # Row *values* never enter the insert cost model — only the
@@ -176,7 +164,7 @@ class WhatIfOptimizer:
                                columns=tuple(schema.column_names),
                                where=stmt.where)
             key = (type(stmt).__name__.lower(),
-                   self._select_signature(probe, selectivity_resolution))
+                   self._select_signature(probe))
             return StatementTemplate(key=key, representative=stmt)
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
@@ -238,8 +226,7 @@ class WhatIfOptimizer:
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
 
-    def _select_signature(self, stmt: SelectStmt,
-                          resolution: Optional[float]) -> Tuple:
+    def _select_signature(self, stmt: SelectStmt) -> Tuple:
         """The selectivity-folded signature of a SELECT.
 
         Every quantity the planner derives from the statement is a
@@ -250,12 +237,6 @@ class WhatIfOptimizer:
         """
         info = self._analyze(stmt)
         stats = self._stats_for(stmt.table)
-
-        def fold(selectivity: float) -> float:
-            if resolution is None or resolution <= 0:
-                return selectivity
-            return round(selectivity / resolution) * resolution
-
         columns = sorted(set(info.eq_predicates)
                          | set(info.range_predicates)
                          | {p.column for p in info.neq_predicates})
@@ -264,18 +245,17 @@ class WhatIfOptimizer:
             parts: List[Tuple[str, float]] = []
             column_stats = stats.column(column)
             if column in info.eq_predicates:
-                parts.append(("eq", fold(column_stats.selectivity_eq(
-                    info.eq_predicates[column]))))
+                parts.append(("eq", column_stats.selectivity_eq(
+                    info.eq_predicates[column])))
             if column in info.range_predicates:
                 spec = info.range_predicates[column]
-                parts.append(("range", fold(
-                    column_stats.selectivity_range(
-                        spec.lo, spec.hi, spec.lo_inclusive,
-                        spec.hi_inclusive))))
+                parts.append(("range", column_stats.selectivity_range(
+                    spec.lo, spec.hi, spec.lo_inclusive,
+                    spec.hi_inclusive)))
             for predicate in info.neq_predicates:
                 if predicate.column == column:
-                    parts.append(("neq", fold(
-                        column_stats.selectivity_eq(predicate.value))))
+                    parts.append(("neq", column_stats.selectivity_eq(
+                        predicate.value)))
             predicate_parts.append((column, tuple(parts)))
         order = None
         if info.order_by is not None:
@@ -461,14 +441,6 @@ class WhatIfOptimizer:
                     definition.compression)
             self._geometry_cache[key] = geometry
         return geometry
-
-    @staticmethod
-    def maintenance_surcharge(config: Iterable[IndexDef],
-                              table: str) -> float:
-        """Summed compression CPU surcharge of ``table``'s structures
-        (``0.0`` for an all-NONE design). Public mirror of the term
-        the insert/write estimates add."""
-        return _maintenance_surcharge(frozenset(config), table)
 
     def _geometries(self, table: str, config: FrozenSet[IndexDef]):
         """Split a configuration into (index pairs, view pairs)."""

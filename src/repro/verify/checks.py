@@ -98,13 +98,8 @@ DEFAULT_GROUND_TRUTH_BUDGETS: Dict[str, float] = {
 
 def _max_useful_k(matrices: CostMatrices,
                   count_initial_change: bool) -> int:
-    unconstrained = solve_unconstrained(matrices)
-    if count_initial_change:
-        return unconstrained.change_count
-    changes = sum(1 for a, b in zip(unconstrained.assignment,
-                                    unconstrained.assignment[1:])
-                  if a != b)
-    return changes
+    return matrices.change_count(
+        solve_unconstrained(matrices).assignment, count_initial_change)
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import WorkloadError
 from ..sqlengine.sql.ast import SelectStmt
 from .model import Statement, Workload
+from .segmentation import iter_segments_by_count
 from .summary import WorkloadSummary, atoms_of
 
 
@@ -70,21 +70,8 @@ def block_profiles(workload: Workload,
     Non-point statements contribute to a ``"<other>"`` bucket, so DML
     or unparsable statements do not silently disappear.
     """
-    if block_size <= 0:
-        raise WorkloadError("block_size must be positive")
-    profiles: List[BlockProfile] = []
-    for block_index, start in enumerate(
-            range(0, len(workload), block_size)):
-        block = workload.statements[start:start + block_size]
-        counts: Dict[str, int] = {}
-        for statement in block:
-            key = _queried_column(statement) or "<other>"
-            counts[key] = counts.get(key, 0) + 1
-        total = max(1, len(block))
-        profiles.append(BlockProfile(
-            block_index=block_index,
-            frequencies={c: n / total for c, n in counts.items()}))
-    return profiles
+    return [segment_profile(segment, i) for i, segment in enumerate(
+        iter_segments_by_count(workload, block_size))]
 
 
 def summary_profiles(summary: WorkloadSummary) -> List[BlockProfile]:
@@ -95,17 +82,8 @@ def summary_profiles(summary: WorkloadSummary) -> List[BlockProfile]:
     for), so the frequencies are exactly those the raw trace would
     have produced at phase granularity — no statement list needed.
     """
-    profiles: List[BlockProfile] = []
-    for index, phase in enumerate(summary.phases):
-        counts: Dict[str, int] = {}
-        for statement, weight in atoms_of(phase):
-            key = _queried_column(statement) or "<other>"
-            counts[key] = counts.get(key, 0) + weight
-        total = max(1, phase.length)
-        profiles.append(BlockProfile(
-            block_index=index,
-            frequencies={c: n / total for c, n in counts.items()}))
-    return profiles
+    return [segment_profile(phase, i)
+            for i, phase in enumerate(summary.phases)]
 
 
 def segment_profile(unit, block_index: int = -1) -> BlockProfile:

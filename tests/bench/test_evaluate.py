@@ -39,7 +39,7 @@ class TestReplayDesign:
                                 [A, A, B, B, A, A])
         report = replay_design(db, segments, design)
         assert report.design_changes == 3
-        assert db.current_configuration() == frozenset(A.indexes)
+        assert db.current_configuration() == frozenset(A.structures)
 
     def test_final_config_transition(self, db, segments):
         design = DesignSequence(EMPTY_CONFIGURATION, [A] * 6)

@@ -5,6 +5,12 @@ import pytest
 from repro.bench import (build_paper_setup, run_ablation_structures,
                          run_extension_ktuning, run_extension_online,
                          run_extension_robustness)
+from repro.bench.experiments import COUNT_INITIAL_CHANGE
+from repro.core import build_cost_matrices
+from repro.core.costmatrix import count_changes
+from repro.core.kaware import solve_constrained
+from repro.core.online import OnlineTuner
+from repro.core.sequence_graph import solve_unconstrained
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,29 @@ class TestOnline:
                           "offline constrained k=2", "online tuner"]
         assert result.cost_of("offline unconstrained") <= \
             result.cost_of("online tuner")
+
+    def test_every_row_counts_under_one_convention(self, tiny_setup):
+        result = run_extension_online(tiny_setup)
+        matrices = build_cost_matrices(tiny_setup.problem_for("W1"),
+                                       tiny_setup.provider)
+        online = OnlineTuner(
+            tiny_setup.candidates, tiny_setup.provider,
+            cooldown=tiny_setup.block_size // 2).run(
+            list(tiny_setup.workloads["W1"]))
+        expected = {
+            "offline unconstrained": count_changes(
+                solve_unconstrained(matrices).assignment,
+                matrices.initial_index, COUNT_INITIAL_CHANGE),
+            "offline constrained k=2": count_changes(
+                solve_constrained(matrices, 2,
+                                  COUNT_INITIAL_CHANGE).assignment,
+                matrices.initial_index, COUNT_INITIAL_CHANGE),
+            "online tuner": count_changes(
+                online.design.assignments, online.design.initial,
+                COUNT_INITIAL_CHANGE),
+        }
+        assert {label: changes for label, _, changes in result.rows} \
+            == expected
 
     def test_unknown_label_raises(self, tiny_setup):
         result = run_extension_online(tiny_setup)

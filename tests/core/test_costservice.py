@@ -119,16 +119,6 @@ class TestTemplateDedup:
             Statement("SELECT a FROM t WHERE a < 400000").ast)
         assert t1.key != t2.key
 
-    def test_resolution_folds_close_ranges(self, small_db):
-        opt = small_db.what_if()
-        t1 = opt.statement_template(
-            Statement("SELECT a FROM t WHERE a < 100").ast,
-            selectivity_resolution=0.5)
-        t2 = opt.statement_template(
-            Statement("SELECT a FROM t WHERE a < 101").ast,
-            selectivity_resolution=0.5)
-        assert t1.key == t2.key
-
     def test_estimate_template_matches_statement(self, small_db):
         opt = small_db.what_if()
         stmt = Statement("SELECT a FROM t WHERE a = 42").ast
@@ -417,7 +407,7 @@ class TestDecomposition:
         service = CostService(small_db.what_if())
         segment = small_problem.segments[0]
         a = Configuration({IndexDef("t", ("a",))})
-        padded = a.with_index(IndexDef("t", ("c", "d")))
+        padded = a.with_structure(IndexDef("t", ("c", "d")))
         service.exec_cost(segment, a)
         calls = service.stats.whatif_calls
         # Queries untouched by I(c,d) resolve from the signature

@@ -31,7 +31,7 @@ def make_setup(exec_by_best, trans=1.0, sizes=None):
         exec_matrix[i, best] = 1.0
         # Union configs containing the best index are nearly as good.
         for j, config in enumerate(configs):
-            if j >= 4 and configs[best].indexes <= config.indexes:
+            if j >= 4 and configs[best].structures <= config.structures:
                 exec_matrix[i, j] = 1.5
     trans_matrix = np.full((len(configs), len(configs)), trans)
     np.fill_diagonal(trans_matrix, 0.0)
@@ -142,5 +142,5 @@ class TestReduceProblem:
                                   initial=EMPTY_CONFIGURATION)
         reduced, greedy = reduce_problem(problem, provider)
         probed = {d for config in greedy.configurations
-                  for d in config.indexes}
+                  for d in config.structures}
         assert probed <= {A, B}

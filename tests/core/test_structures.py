@@ -34,8 +34,8 @@ class TestConfiguration:
 
     def test_with_and_without(self):
         config = Configuration({A})
-        assert config.with_index(B) == Configuration({A, B})
-        assert config.without_index(A) == EMPTY_CONFIGURATION
+        assert config.with_structure(B) == Configuration({A, B})
+        assert config.without_structure(A) == EMPTY_CONFIGURATION
         # Originals untouched (immutability).
         assert config == Configuration({A})
 
